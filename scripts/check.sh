@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # One-command verify: clean stale bytecode, fail fast on collection
-# errors, run the tier-1 suite (with the scheduler invariant, chaos,
-# and observability suites called out explicitly, so they still run if
-# testpaths ever change), pin the event-engine perf-smoke floors
-# (single-tenant, the multi-tenant QoS path, both autoscaler modes,
-# the observer on/off floors, and the fault path), then smoke-run the
-# serving CLI end to end — static fleet, autoscaled heterogeneous
+# errors, assert that tier-1 collects the scheduler invariant, chaos,
+# observability and engine perf-floor suites (so they still run if
+# testpaths ever change), run the tier-1 suite once, then smoke-run
+# the serving CLI end to end — static fleet, autoscaled heterogeneous
 # fleet with admission, async compile with prefetch, a two-tenant QoS
 # run with weighted admission and preemption, a strict-tier QoS run
 # diffed columnar-vs---no-columnar (the per-tier lanes must be
@@ -27,18 +25,25 @@ find . -type d -name __pycache__ -prune -exec rm -rf {} +
 find . -type f -name '*.pyc' -delete
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-# Collection pre-step: a suite that cannot even import must fail the
-# run loudly here, not surface as a confusing mid-run pytest error.
-python -m pytest --co -q > /dev/null
-python -m pytest -x -q
-python -m pytest -q tests/test_serve_invariants.py tests/test_serve_tenants.py \
-  tests/test_serve_predictive.py tests/test_serve_faults.py \
-  tests/test_serve_federation.py tests/test_artifact_durability.py
-python -m pytest -q tests/test_obs_tracer.py tests/test_obs_metrics.py \
-  tests/test_obs_export.py tests/test_obs_flight.py tests/test_obs_neutrality.py
-python -m pytest -q benchmarks/test_engine_perf.py
 LIBDIR="$(mktemp -d)"
 trap 'rm -rf "$LIBDIR"' EXIT
+# Collection pre-step: a suite that cannot even import must fail the
+# run loudly here, not surface as a confusing mid-run pytest error.
+# The suites below must be part of what tier-1 collects; tier-1 runs
+# them, so they are not re-run on their own.
+python -m pytest --co -q > "$LIBDIR/collected.txt"
+for suite in tests/test_serve_invariants.py tests/test_serve_tenants.py \
+  tests/test_serve_predictive.py tests/test_serve_faults.py \
+  tests/test_serve_federation.py tests/test_artifact_durability.py \
+  tests/test_obs_tracer.py tests/test_obs_metrics.py \
+  tests/test_obs_export.py tests/test_obs_flight.py \
+  tests/test_obs_neutrality.py benchmarks/test_engine_perf.py; do
+  grep -q "^$suite::" "$LIBDIR/collected.txt" || {
+    echo "tier-1 no longer collects $suite" >&2
+    exit 1
+  }
+done
+python -m pytest -x -q
 python -m repro serve --requests 50 --chips 2 --width 320 --height 180
 python -m repro serve --requests 40 --chips 3 --min-chips 1 \
   --traffic bursty --width 320 --height 180 \

@@ -37,7 +37,14 @@ from repro.serve.batcher import Batch
 
 @dataclass
 class ChipState:
-    """One accelerator of the fleet plus its serving state."""
+    """One accelerator of the fleet plus its serving state.
+
+    ``retired_at_s`` and ``down_since_s`` change only through the owning
+    :class:`ServeCluster`'s actuators (:meth:`~ServeCluster.add_chip`,
+    :meth:`~ServeCluster.retire_chip`, :meth:`~ServeCluster.mark_down`,
+    :meth:`~ServeCluster.mark_up`): the cluster indexes its live fleet
+    by them, so a direct write would desynchronize that index.
+    """
 
     chip_id: int
     accelerator: UniRenderAccelerator
@@ -383,8 +390,16 @@ class ServeCluster:
     ``n_chips`` identical chips by default; pass ``configs`` (a list of
     per-chip :class:`AcceleratorConfig`) for a heterogeneous fleet. The
     fleet is elastic: :meth:`add_chip` / :meth:`retire_chip` are the
-    autoscaler's actuators, and only :attr:`active_chips` receive new
-    batches.
+    autoscaler's actuators, :meth:`mark_down` / :meth:`mark_up` the fault
+    plan's, and only :attr:`active_chips` receive new batches.
+
+    ``chips`` holds every chip ever added (retired ones keep their
+    accounting for the report). The per-event fleet queries —
+    :attr:`active_chips`, :attr:`down_chip_ids`, :attr:`n_active`,
+    :attr:`n_available`, :attr:`earliest_free_s`, :meth:`has_idle_chip`
+    — read an index of the live fleet instead, so they cost O(active), not O(ever added).
+    The index is kept by the four actuators above, which are the only
+    writers of a chip's ``retired_at_s`` and ``down_since_s``.
     """
 
     def __init__(
@@ -426,6 +441,8 @@ class ServeCluster:
             ChipState(i, UniRenderAccelerator(cfg))
             for i, cfg in enumerate(chip_configs)
         ]
+        self._active: list[ChipState] = list(self.chips)
+        self._down: set[int] = set()  # active chips with an open outage
 
     def __len__(self) -> int:
         return len(self.chips)
@@ -433,17 +450,26 @@ class ServeCluster:
     # ------------------------------------------------------------------
     @property
     def active_chips(self) -> list[ChipState]:
-        return [chip for chip in self.chips if chip.active]
+        """Live, read-only view of the unretired chips in chip-id order
+        (policy tie-breaks and the round-robin pointer index it). Copy
+        it before retiring chips while iterating."""
+        return self._active
+
+    @property
+    def down_chip_ids(self) -> set[int]:
+        """Live, read-only view of the ids of active chips that are
+        down (crashed and not yet recovered)."""
+        return self._down
 
     @property
     def n_active(self) -> int:
-        return sum(1 for chip in self.chips if chip.active)
+        return len(self._active)
 
     @property
     def n_available(self) -> int:
         """Active chips that are actually up — provisioned capacity
         minus crashed chips. Equals :attr:`n_active` on healthy runs."""
-        return sum(1 for chip in self.chips if chip.available)
+        return len(self._active) - len(self._down)
 
     @property
     def lifetime_dirty(self) -> bool:
@@ -472,15 +498,16 @@ class ServeCluster:
 
     @property
     def earliest_free_s(self) -> float:
-        return min(chip.free_at_s for chip in self.active_chips)
+        return min(chip.free_at_s for chip in self._active)
 
     def has_idle_chip(self, now: float) -> bool:
         """True when some active chip could start a batch right now —
         the event engine's dispatch gate (dispatch never queues work
         while every chip is busy; the queue builds so batches coalesce)."""
-        return any(
-            chip.free_at_s <= now for chip in self.chips if chip.active
-        )
+        for chip in self._active:
+            if chip.free_at_s <= now:
+                return True
+        return False
 
     # -- elastic actuators ---------------------------------------------
     def add_chip(
@@ -504,12 +531,36 @@ class ServeCluster:
             added_at_s=now,
         )
         self.chips.append(chip)
+        self._active.append(chip)
         return chip
 
     def retire_chip(self, chip: ChipState, now: float) -> None:
         """Stop routing to ``chip``; it finishes in-flight work first."""
         if not chip.active:
             raise ConfigError(f"chip {chip.chip_id} is already retired")
-        if self.n_active <= 1:
+        if len(self._active) <= 1:
             raise ConfigError("cannot retire the last active chip")
         chip.retired_at_s = max(now, chip.free_at_s)
+        self._active.remove(chip)
+        self._down.discard(chip.chip_id)
+
+    # -- fault actuators -------------------------------------------------
+    def mark_down(self, chip: ChipState, now: float) -> bool:
+        """Open an outage on ``chip`` at ``now`` (a crash). Returns False,
+        changing nothing, when the chip is retired or already down."""
+        if not chip.active or chip.down_since_s is not None:
+            return False
+        chip.down_since_s = now
+        chip.n_crashes += 1
+        self._down.add(chip.chip_id)
+        return True
+
+    def mark_up(self, chip: ChipState, now: float) -> bool:
+        """Close ``chip``'s open outage at ``now`` (a recovery). Returns
+        False, changing nothing, when the chip is not down."""
+        if chip.down_since_s is None:
+            return False
+        chip.down_s += now - chip.down_since_s
+        chip.down_since_s = None
+        self._down.discard(chip.chip_id)
+        return True

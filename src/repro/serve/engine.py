@@ -1056,7 +1056,6 @@ class EventEngine:
         # FaultPlan object was passed.
         self._faults = resolve_faults(faults)
         self._hedge = resolve_hedge(hedge)
-        self._down_chips: set[int] = set()
         # Work truncated off a crashing chip waits here until the crash
         # instant actually arrives (the engine executes batches eagerly;
         # re-queueing at dispatch time would let the scheduler react to
@@ -1246,8 +1245,8 @@ class EventEngine:
             return float(max(1, cluster.n_active))
         speed = self._chip_speed
         capacity = 0.0
-        for chip in cluster.chips:
-            if chip.available:
+        for chip in cluster.active_chips:
+            if chip.down_since_s is None:
                 capacity += 1.0 / speed.get(chip.chip_id, 1.0)
         # A fully-down fleet still projects against half a chip rather
         # than dividing by zero; the wait is enormous either way.
@@ -1715,12 +1714,9 @@ class EventEngine:
         if crash.chip_id >= len(chips):
             return  # the plan names a chip this fleet never had
         chip = chips[crash.chip_id]
-        if not chip.active or chip.down_since_s is not None:
+        if not self.cluster.mark_down(chip, now):
             return  # retired or already down: the crash is a no-op
-        chip.down_since_s = now
-        chip.n_crashes += 1
         chip.free_at_s = max(chip.free_at_s, crash.recover_at_s)
-        self._down_chips.add(chip.chip_id)
         self._fault_counts["crashes"] += 1
         if crash.down_s is None:
             self._fault_counts["permanent"] += 1
@@ -1748,11 +1744,8 @@ class EventEngine:
         if crash.chip_id >= len(chips):
             return
         chip = chips[crash.chip_id]
-        if chip.down_since_s is None:
+        if not self.cluster.mark_up(chip, now):
             return  # the matching crash never took effect
-        chip.down_s += now - chip.down_since_s
-        chip.down_since_s = None
-        self._down_chips.discard(chip.chip_id)
         self._fault_counts["recoveries"] += 1
         self._recovery_total_s += now - crash.at_s
         if self._obs is not None:
@@ -1817,7 +1810,7 @@ class EventEngine:
         threshold = self._hedge_threshold()
         if threshold is None:
             return
-        if sum(1 for chip in self.cluster.chips if chip.available) < 2:
+        if self.cluster.n_available < 2:
             return  # a duplicate on the same chip helps nobody
         pending = self._pending
         gone = pending._gone_master
@@ -1974,8 +1967,9 @@ class EventEngine:
         merged: set[int] = set()
         if base:
             merged.update(base)
-        if self._down_chips:
-            merged.update(self._down_chips)
+        down = self.cluster.down_chip_ids
+        if down:
+            merged.update(down)
         if self._hedge is not None and members:
             avoid: set[int] = set()
             for request in members:
@@ -1987,13 +1981,13 @@ class EventEngine:
                         avoid.add(sibling_chip)
             if avoid:
                 widened = merged | avoid
-                if any(chip.active and chip.chip_id not in widened
-                       for chip in self.cluster.chips):
+                if any(chip.chip_id not in widened
+                       for chip in self.cluster.active_chips):
                     merged = widened  # only avoid siblings if a chip is left
         if not merged:
             return base
-        if not any(chip.active and chip.chip_id not in merged
-                   for chip in self.cluster.chips):
+        if not any(chip.chip_id not in merged
+                   for chip in self.cluster.active_chips):
             return base  # never mask the whole fleet
         return merged
 
@@ -2096,7 +2090,7 @@ class EventEngine:
         cluster = self.cluster
         batcher = self.batcher
         staged = self._staged
-        down = self._down_chips
+        down = self.cluster.down_chip_ids
         while self._n_ready > 0:
             if not any(chip.chip_id not in staged
                        and chip.chip_id not in down

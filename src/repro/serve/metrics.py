@@ -16,6 +16,7 @@ fleet-size timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,12 @@ def latency_percentile(latencies_s: list[float] | np.ndarray, q: float) -> float
 
 @dataclass
 class ServiceReport:
-    """Everything one service simulation produced."""
+    """Everything one service simulation produced.
+
+    A finished record: ``responses`` is never mutated after
+    construction, so the time span (:attr:`first_arrival_s`,
+    :attr:`end_s`) is scanned once and cached.
+    """
 
     policy: str
     responses: list[RenderResponse]
@@ -62,11 +68,11 @@ class ServiceReport:
             raise SimulationError("service completed no requests")
 
     # -- time span ------------------------------------------------------
-    @property
+    @cached_property
     def first_arrival_s(self) -> float:
         return min(r.request.arrival_s for r in self.responses)
 
-    @property
+    @cached_property
     def end_s(self) -> float:
         """Absolute time of the last completion (the cost horizon)."""
         return max(r.finish_s for r in self.responses)

@@ -1,5 +1,7 @@
 """Fleet state and sharding policies, including the affinity payoff."""
 
+import random
+
 import pytest
 
 from repro.compile.workloads import gemm_workload
@@ -7,14 +9,20 @@ from repro.core.config import AcceleratorConfig
 from repro.core.microops import MicroOp, MicroOpProgram
 from repro.errors import ConfigError
 from repro.serve import (
+    Autoscaler,
     Batch,
+    FaultPlan,
+    PipelineBatcher,
     RenderRequest,
     ServeCluster,
     SHARDING_POLICIES,
     TraceCache,
+    generate_tenant_traffic,
     generate_traffic,
+    make_admission_policy,
     simulate_service,
 )
+from tests.test_serve_invariants import stub_program
 
 
 def tiny_program(pipeline):
@@ -121,6 +129,104 @@ class TestElasticFleet:
                     / AcceleratorConfig().total_sram_bytes)
         assert big.chip_cost_rate == pytest.approx(expected)
         assert AcceleratorConfig().chip_cost_rate == pytest.approx(1.0)
+
+
+def assert_fleet_index(cluster):
+    """The live index answers exactly what a scan of every chip would."""
+    assert cluster.active_chips == [c for c in cluster.chips if c.active]
+    assert cluster.n_active == sum(1 for c in cluster.chips if c.active)
+    assert cluster.n_available == sum(c.available for c in cluster.chips)
+    assert cluster.down_chip_ids == {
+        c.chip_id for c in cluster.chips
+        if c.active and c.down_since_s is not None}
+
+
+class TestFleetIndex:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_actuator_sequence_keeps_the_index(self, seed):
+        rng = random.Random(seed)
+        cluster = ServeCluster(3)
+        now = 0.0
+        for _ in range(200):
+            now += rng.random()
+            chip = rng.choice(cluster.chips)
+            action = rng.choice(("add", "retire", "down", "up"))
+            if action == "add":
+                cluster.add_chip(now=now, warmup_s=0.1)
+            elif action == "retire":
+                if chip.active and cluster.n_active > 1:
+                    cluster.retire_chip(chip, now)
+            elif action == "down":
+                assert cluster.mark_down(chip, now) == (
+                    chip.active and chip.down_since_s == now)
+            else:
+                cluster.mark_up(chip, now)
+            assert_fleet_index(cluster)
+
+    def test_crashing_a_retired_chip_is_a_no_op(self):
+        cluster = ServeCluster(2)
+        chip = cluster.chips[0]
+        cluster.retire_chip(chip, now=1.0)
+        assert not cluster.mark_down(chip, now=2.0)
+        assert chip.down_since_s is None and chip.n_crashes == 0
+        assert not cluster.mark_up(chip, now=3.0)
+        assert_fleet_index(cluster)
+
+    def test_outage_accounting_through_the_actuators(self):
+        cluster = ServeCluster(2)
+        chip = cluster.chips[1]
+        assert cluster.mark_down(chip, now=1.0)
+        assert not cluster.mark_down(chip, now=1.5)  # already down
+        assert (chip.n_crashes, cluster.n_available) == (1, 1)
+        assert cluster.mark_up(chip, now=3.0)
+        assert not cluster.mark_up(chip, now=4.0)  # already up
+        assert (chip.down_s, cluster.n_available) == (2.0, 2)
+        # Retiring after a recovery leaves nothing counted down.
+        cluster.retire_chip(chip, now=5.0)
+        assert (cluster.n_active, cluster.n_available) == (1, 1)
+        assert_fleet_index(cluster)
+
+    def test_retiring_a_down_chip_releases_its_outage(self):
+        cluster = ServeCluster(3)
+        chip = cluster.chips[0]
+        cluster.mark_down(chip, now=1.0)
+        cluster.retire_chip(chip, now=2.0)
+        assert_fleet_index(cluster)
+        assert cluster.mark_up(chip, now=3.0)  # closes the books only
+        assert (cluster.n_active, cluster.n_available) == (2, 2)
+        assert_fleet_index(cluster)
+
+    def test_index_survives_a_full_churning_run(self):
+        # Weighted admission, preemption, a predictive autoscaler whose
+        # time constants fit the stub frame costs, a seeded fault plan
+        # and hedging: the fleet grows and retires dozens of chips, and
+        # one crash never recovers.
+        trace = generate_tenant_traffic(
+            "premium:tier=0,weight=4,share=0.25;economy:tier=1,slo=2",
+            pattern="bursty", n_requests=2000, rate_rps=35_000.0, seed=7,
+            resolution=(64, 64), slo_s=0.0005,
+        )
+        plan = FaultPlan.seeded(2, 4, trace[-1].arrival_s, n_crashes=4,
+                                n_stragglers=2, rollback_s=0.0001)
+        cluster = ServeCluster(4)
+        report = simulate_service(
+            trace, cluster,
+            cache=TraceCache(capacity=64,
+                             compile_fn=lambda key: stub_program(key[1])),
+            batcher=PipelineBatcher(),
+            autoscaler=Autoscaler(min_chips=4, max_chips=12,
+                                  mode="predictive", window_s=0.0025,
+                                  warmup_s=0.0002, cooldown_s=0.0005),
+            admission=make_admission_policy("weighted"), preempt=True,
+            faults=plan, hedge=True,
+        )
+        assert len(cluster.chips) > 2 * report.peak_fleet_size
+        assert report.fault_stats["n_crashes"] > (
+            report.fault_stats["n_recoveries"])
+        assert report.hedge_stats["n_hedged"] > 0
+        assert report.n_preemption_events > 0
+        assert cluster.n_available < cluster.n_active
+        assert_fleet_index(cluster)
 
 
 class TestPolicies:

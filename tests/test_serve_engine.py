@@ -8,6 +8,8 @@ cache stats), the vectorized cost table, and the serving-side frame
 timeline with its compile/prefetch phase labels.
 """
 
+import json
+
 import pytest
 
 from repro.core.config import AcceleratorConfig, CompileLatencyModel
@@ -22,6 +24,7 @@ from repro.serve import (
     ServeCluster,
     TraceCache,
     TracePrefetcher,
+    format_service_report,
     generate_traffic,
     response_timeline,
     simulate_service,
@@ -161,6 +164,24 @@ class TestDeterministicAccounting:
         assert cache.stats.compile_wall_s >= 0.0
         assert "compile_wall_s" not in report.cache_stats
         assert report.cache_stats["compile_s"] > 0.0
+
+
+class TestReportSpan:
+    def test_span_matches_a_scan_of_the_responses(self):
+        report = run_storm(compile_workers=2, compile_latency=MODEL)
+        assert report.end_s == max(r.finish_s for r in report.responses)
+        assert report.first_arrival_s == min(
+            r.request.arrival_s for r in report.responses)
+
+    def test_reading_the_span_first_changes_no_output(self):
+        # The span is computed once per report; whether something reads
+        # it before export must not change a byte of the export.
+        warm = run_storm(compile_workers=2, compile_latency=MODEL)
+        assert warm.makespan_s > 0.0  # reads end_s and first_arrival_s
+        cold = run_storm(compile_workers=2, compile_latency=MODEL)
+        assert json.dumps(warm.to_dict(), sort_keys=True) == json.dumps(
+            cold.to_dict(), sort_keys=True)
+        assert format_service_report(warm) == format_service_report(cold)
 
 
 class TestPrefetch:
