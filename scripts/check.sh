@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-command verify: clean stale bytecode, fail fast on collection
 # errors, assert that tier-1 collects the scheduler invariant, chaos,
-# observability and engine perf-floor suites (so they still run if
-# testpaths ever change), run the tier-1 suite once, then smoke-run
+# observability, frozen-trace-digest and engine perf-floor suites (so
+# they still run if testpaths ever change), run the tier-1 suite once,
+# check that `repro serve --rate nan` is refused, then smoke-run
 # the serving CLI end to end — static fleet, autoscaled heterogeneous
 # fleet with admission, async compile with prefetch, a two-tenant QoS
 # run with weighted admission and preemption, a strict-tier QoS run
@@ -37,13 +38,21 @@ for suite in tests/test_serve_invariants.py tests/test_serve_tenants.py \
   tests/test_serve_federation.py tests/test_artifact_durability.py \
   tests/test_obs_tracer.py tests/test_obs_metrics.py \
   tests/test_obs_export.py tests/test_obs_flight.py \
-  tests/test_obs_neutrality.py benchmarks/test_engine_perf.py; do
+  tests/test_obs_neutrality.py tests/test_serve_traffic.py \
+  benchmarks/test_engine_perf.py; do
   grep -q "^$suite::" "$LIBDIR/collected.txt" || {
     echo "tier-1 no longer collects $suite" >&2
     exit 1
   }
 done
 python -m pytest -x -q
+# A non-finite rate is a configuration error, not a trace of NaN
+# arrivals: the serve command must exit non-zero.
+if python -m repro serve --requests 5 --rate nan --width 64 --height 64 \
+  2> /dev/null; then
+  echo "repro serve accepted --rate nan" >&2
+  exit 1
+fi
 python -m repro serve --requests 50 --chips 2 --width 320 --height 180
 python -m repro serve --requests 40 --chips 3 --min-chips 1 \
   --traffic bursty --width 320 --height 180 \

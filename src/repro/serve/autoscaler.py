@@ -330,9 +330,13 @@ class Autoscaler:
                 self.observer.on_scale(now, "scale_up", 1, cluster.n_active)
             return
 
-        idle = [c for c in cluster.active_chips
-                if c.available and c.free_at_s <= now
-                and c.chip_id not in reserved]
+        # Both shrink rules need an empty queue, so the O(live fleet)
+        # idle scan runs only then.
+        idle = []
+        if queue_depth == 0:
+            idle = [c for c in cluster.active_chips
+                    if c.available and c.free_at_s <= now
+                    and c.chip_id not in reserved]
         calm = (
             queue_depth == 0
             and self.mean_queue_depth() < 1.0

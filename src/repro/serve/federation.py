@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -61,7 +61,7 @@ from repro.serve.request import RenderRequest, TraceKey
 from repro.serve.scheduler import simulate_service
 from repro.serve.trace_cache import TraceCache
 from repro.serve.trace_library import TraceLibrary, TraceRecord
-from repro.serve.traffic import generate_traffic
+from repro.serve.traffic import _merge_columns, _traffic_columns
 
 #: Period of the diurnal traffic pattern (`traffic._diurnal_arrivals`):
 #: one compressed "day" of simulated seconds. A region at UTC+h rides
@@ -881,9 +881,9 @@ def generate_federation_traffic(
     renumbered globally in arrival order so the merged workload is one
     coherent trace.
     """
-    shifted: list[tuple[float, int, int, str, RenderRequest]] = []
+    columns = []
     for index, spec in enumerate(specs):
-        stream = generate_traffic(
+        stream = _traffic_columns(
             pattern=pattern,
             n_requests=n_requests_per_region,
             rate_rps=rate_rps,
@@ -891,16 +891,13 @@ def generate_federation_traffic(
             **traffic_kwargs,
         )
         phase_s = (spec.tz_offset_h % 24.0) / 24.0 * DIURNAL_PERIOD_S
-        for request in stream:
-            moved = (request if phase_s == 0.0 else
-                     replace(request, arrival_s=request.arrival_s + phase_s))
-            shifted.append((moved.arrival_s, index, request.request_id,
-                            spec.name, moved))
-    shifted.sort(key=lambda item: item[:3])
+        columns.append(stream._replace(arrival_s=stream.arrival_s + phase_s))
+    requests, owners = _merge_columns(columns)
     streams: "OrderedDict[str, list[RenderRequest]]" = OrderedDict(
         (spec.name, []) for spec in specs)
-    for new_id, (_, _, _, home, request) in enumerate(shifted):
-        streams[home].append(replace(request, request_id=new_id))
+    homes = [streams[spec.name] for spec in specs]
+    for request, owner in zip(requests, owners):
+        homes[owner].append(request)
     return streams
 
 

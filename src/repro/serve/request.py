@@ -17,6 +17,7 @@ preempted, whether it migrated to an autoscaled chip).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -85,10 +86,14 @@ class RenderRequest:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ConfigError("request resolution must be positive")
-        if self.arrival_s < 0:
-            raise ConfigError("arrival time cannot be negative")
-        if self.slo_s <= 0:
-            raise ConfigError("latency SLO must be positive")
+        # Written so that NaN fails the comparisons.
+        if not 0.0 <= self.arrival_s < math.inf:
+            if self.arrival_s < 0:
+                raise ConfigError("arrival time cannot be negative")
+            raise ConfigError(
+                f"arrival time must be finite (got {self.arrival_s})")
+        if not self.slo_s > 0:
+            raise ConfigError(f"latency SLO must be positive (got {self.slo_s})")
 
     @property
     def trace_key(self) -> TraceKey:

@@ -13,17 +13,22 @@ Patterns (RZBENCH-style scenario diversity):
 * ``diurnal`` — sinusoidally modulated rate (a compressed day).
 * ``mixed``   — steady arrivals, but every request draws a pipeline
   uniformly from the full set (maximum pipeline churn).
+
+Every stream is first drawn as columns (arrival times, scenes,
+pipelines) by :func:`_traffic_columns`; :func:`_merge_columns` then
+merges one or more streams by arrival and builds each
+:class:`RenderRequest` exactly once, with its final id and tenant.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Sequence
+import math
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.serve.request import RenderRequest, TenantClass
+from repro.serve.request import DEFAULT_TENANT, RenderRequest, TenantClass
 
 #: Default request mix: two scenes, three pipelines with distinct
 #: PE-array configurations (so pipeline switches actually occur).
@@ -44,20 +49,18 @@ def _bursty_arrivals(
     burst_rate_factor: float = 10.0,
 ) -> np.ndarray:
     """Bursts of ``burst_size`` requests at ``burst_rate_factor`` times
-    the mean rate, spaced so the long-run rate still averages out."""
-    times = []
-    t = 0.0
-    emitted = 0
-    while emitted < n:
-        size = min(burst_size, n - emitted)
-        gaps = rng.exponential(1.0 / (rate_rps * burst_rate_factor), size)
-        for gap in gaps:
-            t += gap
-            times.append(t)
-        emitted += size
-        # Idle gap restoring the long-run mean rate.
-        t += size / rate_rps * (1.0 - 1.0 / burst_rate_factor)
-    return np.array(times)
+    the mean rate, spaced so the long-run rate still averages out.
+
+    All in-burst gaps come from one draw; the idle step restoring the
+    long-run mean rate sits after each full burst, and one running sum
+    over the interleaved steps adds them in arrival order."""
+    gaps = rng.exponential(1.0 / (rate_rps * burst_rate_factor), n)
+    idle = burst_size / rate_rps * (1.0 - 1.0 / burst_rate_factor)
+    index = np.arange(n)
+    slots = index + index // burst_size  # each gap's place among the steps
+    steps = np.full(n + (n - 1) // burst_size, idle)
+    steps[slots] = gaps
+    return np.cumsum(steps)[slots]
 
 
 def _diurnal_arrivals(
@@ -69,11 +72,13 @@ def _diurnal_arrivals(
 ) -> np.ndarray:
     """Rate swings sinusoidally between (1-depth) and (1+depth) of the
     mean over ``period_s`` — a day compressed to simulation scale."""
+    # exponential(scale) is scale * standard_exponential(): one draw of
+    # all n, scaled by the rate at each arrival.
     times = np.empty(n)
     t = 0.0
-    for k in range(n):
+    for k, draw in enumerate(rng.standard_exponential(n).tolist()):
         local_rate = rate_rps * (1.0 + depth * np.sin(2.0 * np.pi * t / period_s))
-        t += rng.exponential(1.0 / max(local_rate, 1e-6))
+        t += draw * (1.0 / max(local_rate, 1e-6))
         times[k] = t
     return times
 
@@ -87,6 +92,96 @@ _ARRIVAL_SHAPES = {
 
 #: Public pattern names, in presentation order.
 TRAFFIC_PATTERNS = tuple(_ARRIVAL_SHAPES)
+
+
+class _Columns(NamedTuple):
+    """One generated stream, column by column, plus its per-stream
+    request fields."""
+
+    arrival_s: np.ndarray
+    scene: list[str]
+    pipeline: list[str]
+    width: int
+    height: int
+    slo_s: float
+
+
+def _traffic_columns(
+    pattern: str = "steady",
+    n_requests: int = 200,
+    rate_rps: float = 150.0,
+    seed: int = 0,
+    scenes: tuple[str, ...] = DEFAULT_SCENES,
+    pipelines: tuple[str, ...] = DEFAULT_PIPELINES,
+    resolution: tuple[int, int] = DEFAULT_RESOLUTION,
+    slo_s: float = 0.05,
+    pipeline_run_length: int = 4,
+) -> _Columns:
+    """Draw one stream's columns (see :func:`generate_traffic`)."""
+    if pattern not in _ARRIVAL_SHAPES:
+        raise ConfigError(
+            f"unknown traffic pattern {pattern!r}; choose from {TRAFFIC_PATTERNS}"
+        )
+    if n_requests < 1:
+        raise ConfigError("n_requests must be >= 1")
+    if not math.isfinite(rate_rps):
+        raise ConfigError(f"rate must be finite (got {rate_rps})")
+    if rate_rps <= 0:
+        raise ConfigError("rate must be positive")
+    if not scenes or not pipelines:
+        raise ConfigError("need at least one scene and one pipeline")
+
+    rng = np.random.default_rng(seed)
+    arrivals = _ARRIVAL_SHAPES[pattern](n_requests, rate_rps, rng)
+
+    # Scalar draws in request order: pipeline (at each run start), then
+    # scene. Vectorizing them would tie the trace to NumPy's internal
+    # bounded-integer algorithm.
+    run_length = 1 if pattern == "mixed" else max(1, pipeline_run_length)
+    integers = rng.integers
+    n_scenes, n_pipelines = len(scenes), len(pipelines)
+    scene_column, pipeline_column = [], []
+    for k in range(n_requests):
+        if k % run_length == 0:
+            current_pipeline = pipelines[integers(n_pipelines)]
+        pipeline_column.append(current_pipeline)
+        scene_column.append(scenes[integers(n_scenes)])
+    return _Columns(arrivals, scene_column, pipeline_column,
+                    resolution[0], resolution[1], slo_s)
+
+
+def _merge_columns(
+    streams: Sequence[_Columns],
+    tenants: Sequence[TenantClass] | None = None,
+) -> tuple[list[RenderRequest], list[int]]:
+    """Merge streams by (arrival, stream index, local id) and build each
+    request once, numbered globally in merged order and tagged with its
+    stream's tenant (the default when ``tenants`` is omitted).
+
+    Returns the requests and, for each, the index of its stream. A
+    single stream is already in arrival order, so it keeps ids 0..n-1.
+    """
+    arrivals = np.concatenate([stream.arrival_s for stream in streams])
+    # A stable sort of the concatenation breaks arrival ties by stream
+    # index, then local id.
+    order = np.argsort(arrivals, kind="stable")
+    owners = np.repeat(np.arange(len(streams)),
+                       [len(stream.scene) for stream in streams])[order].tolist()
+    scenes = [scene for stream in streams for scene in stream.scene]
+    pipelines = [pipeline for stream in streams for pipeline in stream.pipeline]
+    per_stream = [
+        (stream.width, stream.height, stream.slo_s, tenant)
+        for stream, tenant in zip(
+            streams, tenants or [DEFAULT_TENANT] * len(streams))
+    ]
+    requests = [
+        RenderRequest(request_id, scenes[k], pipelines[k], width, height,
+                      arrival, slo_s, False, tenant)
+        for request_id, (k, (width, height, slo_s, tenant), arrival)
+        in enumerate(zip(order.tolist(), [per_stream[o] for o in owners],
+                         arrivals[order].tolist()))
+    ]
+    return requests, owners
 
 
 def generate_traffic(
@@ -107,36 +202,10 @@ def generate_traffic(
     pattern except ``mixed``, which redraws the pipeline per request
     (worst-case churn for the dispatcher).
     """
-    if pattern not in _ARRIVAL_SHAPES:
-        raise ConfigError(
-            f"unknown traffic pattern {pattern!r}; choose from {TRAFFIC_PATTERNS}"
-        )
-    if n_requests < 1:
-        raise ConfigError("n_requests must be >= 1")
-    if rate_rps <= 0:
-        raise ConfigError("rate must be positive")
-    if not scenes or not pipelines:
-        raise ConfigError("need at least one scene and one pipeline")
-
-    rng = np.random.default_rng(seed)
-    arrivals = _ARRIVAL_SHAPES[pattern](n_requests, rate_rps, rng)
-
-    run_length = 1 if pattern == "mixed" else max(1, pipeline_run_length)
-    requests = []
-    current_pipeline = None
-    for k in range(n_requests):
-        if k % run_length == 0 or current_pipeline is None:
-            current_pipeline = pipelines[int(rng.integers(len(pipelines)))]
-        requests.append(RenderRequest(
-            request_id=k,
-            scene=scenes[int(rng.integers(len(scenes)))],
-            pipeline=current_pipeline,
-            width=resolution[0],
-            height=resolution[1],
-            arrival_s=float(arrivals[k]),
-            slo_s=slo_s,
-        ))
-    return requests
+    columns = _traffic_columns(
+        pattern, n_requests, rate_rps, seed, scenes, pipelines, resolution,
+        slo_s, pipeline_run_length)
+    return _merge_columns([columns])[0]
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +323,7 @@ def generate_tenant_traffic(
                 "request counts come from shares and seeds are derived"
             )
 
-    merged: list[tuple[float, int, int, RenderRequest]] = []
+    streams = []
     remaining = n_requests
     for index, (tenant, share) in enumerate(mix):
         if index == len(mix) - 1:
@@ -269,17 +338,9 @@ def generate_tenant_traffic(
             )
         kwargs = dict(pattern=pattern, rate_rps=rate_rps * share, **shared)
         kwargs.update(overrides.get(tenant.name, {}))
-        stream = generate_traffic(
+        streams.append(_traffic_columns(
             n_requests=n_tenant,
             seed=seed * 1_000_003 + index,
             **kwargs,
-        )
-        for request in stream:
-            merged.append(
-                (request.arrival_s, index, request.request_id,
-                 replace(request, tenant=tenant)))
-    merged.sort(key=lambda item: item[:3])
-    return [
-        replace(request, request_id=new_id)
-        for new_id, (_, _, _, request) in enumerate(merged)
-    ]
+        ))
+    return _merge_columns(streams, [tenant for tenant, _ in mix])[0]
