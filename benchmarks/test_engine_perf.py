@@ -13,21 +13,19 @@ Measured perf trajectory (development machines differ; the committed
   extrapolated at 100k (scan-the-queue batching, O(pending) admission
   projections, window rebuilds per controller tick);
 * event engine (PR 3): ~75k req/s at 100k requests;
-* columnar engine (PR 8): arrivals batch-ingested from sorted NumPy
-  columns, per-pipeline index lanes, no per-arrival heap ops — ~176k
-  req/s measured on a 1-core CI-grade box, with the *scalar* loop
-  itself up ~2.4x from the arrival-array change;
-* columnar everywhere (this floor): batched trace-cache windows
-  (``get_many``), vectorized chip-score lanes, per-tier pending lanes
-  (strict-tier QoS now columnar-eligible), and a deferred-replay
-  observer buffer.
+* arrivals kept in their sorted list instead of one heap entry each:
+  ~176k req/s measured on a 1-core CI-grade box;
+* one event loop for every configuration: a busy-fleet ingest window
+  (arrival instants that fall while every chip is busy only ingest),
+  per-(tier, pipeline) pending lanes, a per-chip price memo, and
+  single-pass sharding policies.
 
 Floors assert with CI headroom; dropping below one means the hot path
-regressed structurally, not that a machine is merely slow. Modes the
-columnar gate still excludes (weighted admission/preempt, faults,
-hedging, autoscaling) anchor to ``SCALAR_FLOOR_RPS`` — the scalar
-loop's own floor, also asserted via the ``columnar=False`` escape
-hatch.
+regressed structurally, not that a machine is merely slow. Every floor
+is evaluated on the median of ``REPEATS`` runs, so one run slowed by a
+noisy host neither fails a gate nor hides a regression. The modes that
+arm a per-instant hook or per-frame work (weighted admission and
+preemption, faults, full tracing) anchor to ``FEATURE_FLOOR_RPS``.
 """
 
 import statistics
@@ -49,18 +47,24 @@ from tests.test_serve_invariants import stub_program
 
 #: Requests in the smoke run and the asserted simulation-rate floor.
 N_REQUESTS = 100_000
-#: The columnar fast path simulates this scenario at ~176k req/s on a
-#: 1-core box; batched cache windows and the chip-score lanes hold it
-#: there with the wider eligibility, so the floor asserts >= 90k (1.5x
-#: the PR 8 floor) with CI headroom.
+#: The engine simulates this scenario at ~100k-176k req/s depending on
+#: the box; the floor asserts >= 90k.
 FLOOR_RPS = 90_000.0
-#: Floor of the scalar event loop (the ``columnar=False`` escape hatch
-#: and every mode the columnar gate excludes): the pre-columnar floor,
-#: which the arrival-array change lifted well clear of (~91k measured).
-SCALAR_FLOOR_RPS = 20_000.0
+#: Base of the floors for the feature-heavy modes: the event engine's
+#: floor before arrivals left the heap.
+FEATURE_FLOOR_RPS = 20_000.0
+#: Every floor asserts on the median of this many runs.
+REPEATS = 3
 
 
-def run_overload(columnar: bool = True):
+def median_run(run):
+    """``(last run's result, median rate)`` over ``REPEATS`` calls of
+    ``run``, which returns ``(result, rate)``."""
+    runs = [run() for _ in range(REPEATS)]
+    return runs[-1][0], statistics.median(rate for _, rate in runs)
+
+
+def run_overload():
     trace = generate_traffic(
         "bursty", n_requests=N_REQUESTS, rate_rps=60_000.0, seed=42,
         resolution=(64, 64), slo_s=0.0005,
@@ -72,20 +76,24 @@ def run_overload(columnar: bool = True):
         cache=TraceCache(capacity=64,
                          compile_fn=lambda key: stub_program(key[1])),
         batcher=PipelineBatcher(),
-        columnar=columnar,
     )
     elapsed = time.perf_counter() - began
     return report, N_REQUESTS / elapsed
 
 
 def test_engine_simulation_rate_floor(benchmark, save_text, record_bench):
-    report, rate = benchmark.pedantic(run_overload, rounds=1, iterations=1)
+    report, rate = benchmark.pedantic(
+        lambda: median_run(run_overload), rounds=1, iterations=1)
     save_text(
         "engine_perf",
-        f"simulated {N_REQUESTS} requests at {rate:,.0f} req/s "
-        f"(floor {FLOOR_RPS:,.0f}); mean batch {report.mean_batch_size:.2f}, "
+        f"simulated {N_REQUESTS} requests at {rate:,.0f} req/s, median of "
+        f"{REPEATS} (floor {FLOOR_RPS:,.0f}); "
+        f"mean batch {report.mean_batch_size:.2f}, "
         f"throughput {report.throughput_rps:,.0f} sim-req/s",
     )
+    # The "bare_columnar" and "qos_columnar" bench keys keep their names
+    # from when a second loop served these scenarios, so the recorded
+    # history stays one series per scenario.
     record_bench("bare_columnar", rate, FLOOR_RPS, N_REQUESTS)
     # The workload really exercised the hot path: deep queues, full
     # batches, every request served.
@@ -94,42 +102,21 @@ def test_engine_simulation_rate_floor(benchmark, save_text, record_bench):
     # The floor itself: 1.5x the PR 8 floor, with CI headroom.
     assert rate >= FLOOR_RPS, (
         f"engine simulated only {rate:,.0f} req/s "
-        f"(floor {FLOOR_RPS:,.0f}) — the columnar hot path has regressed"
-    )
-
-
-def test_scalar_escape_hatch_rate_floor(benchmark, save_text, record_bench):
-    # ``columnar=False`` forces the scalar event loop on the same
-    # scenario: the escape hatch must stay a usable fallback, and the
-    # arrival-array change (no per-arrival heap entry) keeps even this
-    # path well above the historical floor.
-    report, rate = benchmark.pedantic(
-        lambda: run_overload(columnar=False), rounds=1, iterations=1)
-    save_text(
-        "engine_perf_scalar",
-        f"simulated {N_REQUESTS} requests on the scalar loop at "
-        f"{rate:,.0f} req/s (floor {SCALAR_FLOOR_RPS:,.0f})",
-    )
-    record_bench("bare_scalar", rate, SCALAR_FLOOR_RPS, N_REQUESTS)
-    assert report.n_requests == N_REQUESTS
-    assert rate >= SCALAR_FLOOR_RPS, (
-        f"scalar engine simulated only {rate:,.0f} req/s "
-        f"(floor {SCALAR_FLOOR_RPS:,.0f}) — the general event loop has "
+        f"(floor {FLOOR_RPS:,.0f}) — the event loop's hot path has "
         f"regressed"
     )
 
 
 # ----------------------------------------------------------------------
 # Multi-tenant QoS paths. Strict-tier dispatch (tiers only — no
-# weighted budgets, no preemption) is columnar-eligible since the
-# per-tier pending lanes landed, so it anchors to the columnar floor
-# with a 20% lane-bookkeeping allowance. The *full* machinery (weighted
-# admission, dispatch-ahead staging, preemption) still runs on the
-# scalar loop, so its floor anchors to the scalar floor: no more than
-# 10% below it.
+# weighted budgets, no preemption) batches from per-(tier, pipeline)
+# pending lanes, so it anchors to the bare floor with a 20%
+# lane-bookkeeping allowance. The *full* machinery (weighted admission,
+# dispatch-ahead staging, preemption) runs per-instant hooks, so its
+# floor anchors to the feature floor: no more than 10% below it.
 # ----------------------------------------------------------------------
-QOS_COLUMNAR_FLOOR_RPS = FLOOR_RPS * 0.8
-PREEMPT_FLOOR_RPS = SCALAR_FLOOR_RPS * 0.9
+QOS_TIER_FLOOR_RPS = FLOOR_RPS * 0.8
+PREEMPT_FLOOR_RPS = FEATURE_FLOOR_RPS * 0.9
 
 
 def run_tier_overload():
@@ -153,22 +140,23 @@ def run_tier_overload():
 
 
 def test_qos_columnar_rate_floor(benchmark, save_text, record_bench):
-    report, rate = benchmark.pedantic(run_tier_overload, rounds=1,
-                                      iterations=1)
+    report, rate = benchmark.pedantic(
+        lambda: median_run(run_tier_overload), rounds=1, iterations=1)
     save_text(
         "engine_perf_qos_columnar",
         f"simulated {N_REQUESTS} strict-tier two-tenant requests at "
-        f"{rate:,.0f} req/s (floor {QOS_COLUMNAR_FLOOR_RPS:,.0f})",
+        f"{rate:,.0f} req/s, median of {REPEATS} "
+        f"(floor {QOS_TIER_FLOOR_RPS:,.0f})",
     )
-    record_bench("qos_columnar", rate, QOS_COLUMNAR_FLOOR_RPS, N_REQUESTS)
+    record_bench("qos_columnar", rate, QOS_TIER_FLOOR_RPS, N_REQUESTS)
     # Both tiers really flowed through the tier lanes.
     assert len(report.tenant_report()) == 2
     assert not report.preempt_enabled
-    # No more than 20% below the columnar floor.
-    assert rate >= QOS_COLUMNAR_FLOOR_RPS, (
+    # No more than 20% below the bare floor.
+    assert rate >= QOS_TIER_FLOOR_RPS, (
         f"strict-tier QoS path simulated only {rate:,.0f} req/s "
-        f"(floor {QOS_COLUMNAR_FLOOR_RPS:,.0f}) — the per-tier pending "
-        f"lanes have regressed the columnar hot path"
+        f"(floor {QOS_TIER_FLOOR_RPS:,.0f}) — the per-(tier, pipeline) "
+        f"pending lanes have regressed the hot path"
     )
 
 
@@ -195,12 +183,12 @@ def run_tenant_overload():
 
 
 def test_preemption_path_rate_floor(benchmark, save_text, record_bench):
-    report, rate = benchmark.pedantic(run_tenant_overload, rounds=1,
-                                      iterations=1)
+    report, rate = benchmark.pedantic(
+        lambda: median_run(run_tenant_overload), rounds=1, iterations=1)
     save_text(
         "engine_perf_tenants",
-        f"simulated {N_REQUESTS} two-tenant requests at {rate:,.0f} req/s "
-        f"(floor {PREEMPT_FLOOR_RPS:,.0f}); "
+        f"simulated {N_REQUESTS} two-tenant requests at {rate:,.0f} req/s, "
+        f"median of {REPEATS} (floor {PREEMPT_FLOOR_RPS:,.0f}); "
         f"{report.n_preemption_events} preemption events, "
         f"shed rate {report.shed_rate:.3f}",
     )
@@ -208,7 +196,7 @@ def test_preemption_path_rate_floor(benchmark, save_text, record_bench):
     # The QoS machinery really engaged on this run.
     assert report.preempt_enabled
     assert len(report.tenant_report()) == 2
-    # No more than 10% below the scalar floor.
+    # No more than 10% below the feature floor.
     assert rate >= PREEMPT_FLOOR_RPS, (
         f"QoS path simulated only {rate:,.0f} req/s "
         f"(floor {PREEMPT_FLOOR_RPS:,.0f}) — tier dispatch, weighted "
@@ -255,11 +243,12 @@ def run_autoscaled_overload(mode):
 
 def test_reactive_autoscaler_rate_floor(benchmark, save_text, record_bench):
     report, rate = benchmark.pedantic(
-        lambda: run_autoscaled_overload("reactive"), rounds=1, iterations=1)
+        lambda: median_run(lambda: run_autoscaled_overload("reactive")),
+        rounds=1, iterations=1)
     save_text(
         "engine_perf_autoscaled",
-        f"simulated {N_REQUESTS} autoscaled requests at {rate:,.0f} req/s "
-        f"(floor {AUTOSCALE_FLOOR_RPS:,.0f}); peak fleet "
+        f"simulated {N_REQUESTS} autoscaled requests at {rate:,.0f} req/s, "
+        f"median of {REPEATS} (floor {AUTOSCALE_FLOOR_RPS:,.0f}); peak fleet "
         f"{report.peak_fleet_size}, {len(report.fleet_events)} flex events",
     )
     record_bench("autoscale_reactive", rate, AUTOSCALE_FLOOR_RPS, N_REQUESTS)
@@ -273,11 +262,13 @@ def test_reactive_autoscaler_rate_floor(benchmark, save_text, record_bench):
 
 def test_predictive_autoscaler_rate_floor(benchmark, save_text, record_bench):
     report, rate = benchmark.pedantic(
-        lambda: run_autoscaled_overload("predictive"), rounds=1, iterations=1)
+        lambda: median_run(lambda: run_autoscaled_overload("predictive")),
+        rounds=1, iterations=1)
     save_text(
         "engine_perf_predictive",
         f"simulated {N_REQUESTS} forecast-autoscaled requests at "
-        f"{rate:,.0f} req/s (floor {PREDICTIVE_FLOOR_RPS:,.0f}); peak fleet "
+        f"{rate:,.0f} req/s, median of {REPEATS} "
+        f"(floor {PREDICTIVE_FLOOR_RPS:,.0f}); peak fleet "
         f"{report.peak_fleet_size}, {len(report.fleet_events)} flex events",
     )
     record_bench("autoscale_predictive", rate, PREDICTIVE_FLOOR_RPS,
@@ -294,20 +285,14 @@ def test_predictive_autoscaler_rate_floor(benchmark, save_text, record_bench):
 # ----------------------------------------------------------------------
 # Observability floors: the obs hooks live on the same hot path, so two
 # floors pin their cost. Disabled means *absent* — a sink-less observer
-# normalizes to None, so the run stays eligible for the columnar fast
-# path and must hold >= 0.97x the *new* bare floor (the columnar
-# rewrite must not reintroduce per-event observer overhead). Full
-# tracing (ring-buffer tracer + metrics registry + flight recorder,
-# sample 1.0) *also* stays columnar now: events are recorded into the
-# engine's preallocated replay buffer during the run and dispatched
-# into the sinks at finalize, so the hot loop pays an array store per
-# event instead of Python hook dispatch. End to end the replay pass is
-# still per-event Python and dominates (measured ~equal to the scalar
-# loop's inline hooks), so the floor keeps the historical half-scalar
-# anchor — the win is eligibility (one loop to trust), not yet rate.
+# normalizes to None, so every instrumentation site costs one pointer
+# check and the run must hold >= 0.97x the bare floor. Full tracing
+# (ring-buffer tracer + metrics registry + flight recorder, sample 1.0)
+# calls a Python hook per event, so its floor is half the feature
+# floor.
 # ----------------------------------------------------------------------
 OBS_DISABLED_FLOOR_RPS = FLOOR_RPS * 0.97
-OBS_ENABLED_FLOOR_RPS = SCALAR_FLOOR_RPS * 0.5
+OBS_ENABLED_FLOOR_RPS = FEATURE_FLOOR_RPS * 0.5
 
 
 def run_observed_overload(observer):
@@ -332,14 +317,15 @@ def test_disabled_observer_rate_floor(benchmark, save_text, record_bench):
     from repro.obs import Observer
 
     # No sinks: resolve_observer() normalizes this to None inside the
-    # engine, so the run measures exactly the disabled-path guards —
-    # and stays on the columnar fast path.
+    # engine, so the run measures exactly the disabled-path guards.
     report, rate = benchmark.pedantic(
-        lambda: run_observed_overload(Observer()), rounds=1, iterations=1)
+        lambda: median_run(lambda: run_observed_overload(Observer())),
+        rounds=1, iterations=1)
     save_text(
         "engine_perf_obs_disabled",
         f"simulated {N_REQUESTS} requests with a disabled observer at "
-        f"{rate:,.0f} req/s (floor {OBS_DISABLED_FLOOR_RPS:,.0f})",
+        f"{rate:,.0f} req/s, median of {REPEATS} "
+        f"(floor {OBS_DISABLED_FLOOR_RPS:,.0f})",
     )
     record_bench("obs_disabled", rate, OBS_DISABLED_FLOOR_RPS, N_REQUESTS)
     assert report.n_requests == N_REQUESTS
@@ -360,31 +346,31 @@ def test_full_tracing_rate_floor(benchmark, save_text, record_bench):
             flight=FlightRecorder(),
         ))
 
-    report, rate = benchmark.pedantic(run, rounds=1, iterations=1)
+    report, rate = benchmark.pedantic(
+        lambda: median_run(run), rounds=1, iterations=1)
     save_text(
         "engine_perf_obs_enabled",
         f"simulated {N_REQUESTS} fully traced requests at {rate:,.0f} "
-        f"req/s (floor {OBS_ENABLED_FLOOR_RPS:,.0f})",
+        f"req/s, median of {REPEATS} (floor {OBS_ENABLED_FLOOR_RPS:,.0f})",
     )
     record_bench("obs_full_tracing", rate, OBS_ENABLED_FLOOR_RPS, N_REQUESTS)
     assert report.n_requests == N_REQUESTS
     assert rate >= OBS_ENABLED_FLOOR_RPS, (
         f"fully traced run simulated only {rate:,.0f} req/s "
-        f"(floor {OBS_ENABLED_FLOOR_RPS:,.0f}) — the record-then-replay "
-        f"buffer has left its array-store-per-event budget"
+        f"(floor {OBS_ENABLED_FLOOR_RPS:,.0f}) — the per-event observer "
+        f"hooks have regressed the hot path"
     )
 
 
 # ----------------------------------------------------------------------
 # Chaos path: a fault plan puts a crash probe, a straggler-window
 # lookup, and a speed-EWMA update on every dispatched frame, so fault
-# injection is hot-path code too — scalar-loop code, since the columnar
-# gate excludes fault plans. An active plan (two straggler windows
+# injection is hot-path code too. An active plan (two straggler windows
 # spanning the whole run plus one mid-run recoverable crash) must hold
-# >= 0.8x the scalar floor — below that, the per-frame fault checks
+# >= 0.8x the feature floor — below that, the per-frame fault checks
 # have outgrown their dictionary-lookup budget.
 # ----------------------------------------------------------------------
-FAULT_FLOOR_RPS = SCALAR_FLOOR_RPS * 0.8
+FAULT_FLOOR_RPS = FEATURE_FLOOR_RPS * 0.8
 
 
 def run_faulted_overload():
@@ -415,12 +401,13 @@ def run_faulted_overload():
 
 
 def test_fault_injection_rate_floor(benchmark, save_text, record_bench):
-    report, rate = benchmark.pedantic(run_faulted_overload, rounds=1,
-                                      iterations=1)
+    report, rate = benchmark.pedantic(
+        lambda: median_run(run_faulted_overload), rounds=1, iterations=1)
     save_text(
         "engine_perf_faults",
         f"simulated {N_REQUESTS} requests under an active fault plan at "
-        f"{rate:,.0f} req/s (floor {FAULT_FLOOR_RPS:,.0f}); "
+        f"{rate:,.0f} req/s, median of {REPEATS} "
+        f"(floor {FAULT_FLOOR_RPS:,.0f}); "
         f"{report.fault_stats['n_crashes']} crashes, "
         f"{report.fault_stats['n_requeued']} frames re-queued",
     )
@@ -428,7 +415,7 @@ def test_fault_injection_rate_floor(benchmark, save_text, record_bench):
     # The plan really engaged: the crash fired and stragglers dilated.
     assert report.fault_stats["n_crashes"] == 1
     assert report.fleet_availability < 1.0
-    # No more than 20% below the scalar floor.
+    # No more than 20% below the feature floor.
     assert rate >= FAULT_FLOOR_RPS, (
         f"faulted engine simulated only {rate:,.0f} req/s "
         f"(floor {FAULT_FLOOR_RPS:,.0f}) — per-frame fault checks have "
@@ -477,13 +464,14 @@ def run_federated_planet():
 
 
 def test_federation_rate_floor(benchmark, save_text, record_bench):
-    report, rate = benchmark.pedantic(run_federated_planet, rounds=1,
-                                      iterations=1)
+    report, rate = benchmark.pedantic(
+        lambda: median_run(run_federated_planet), rounds=1, iterations=1)
     n_offered = 3 * FEDERATION_N_PER_REGION
     save_text(
         "engine_perf_federation",
         f"simulated {n_offered} requests across 3 federated regions at "
-        f"{rate:,.0f} req/s (floor {FEDERATION_FLOOR_RPS:,.0f}); "
+        f"{rate:,.0f} req/s, median of {REPEATS} "
+        f"(floor {FEDERATION_FLOOR_RPS:,.0f}); "
         f"{report.n_epochs} sync epochs, "
         f"{report.gossip_stats['messages']} gossip messages",
     )
@@ -509,11 +497,10 @@ def test_federation_rate_floor(benchmark, save_text, record_bench):
 # (~150) far exceed the live fleet (<= 15), so it pins that per-event
 # fleet queries and per-chip report values cost O(live fleet), not
 # O(chips ever added) — the old full-fleet scans ran it at ~4.4k req/s
-# against ~9.8k with the live index, on a 2-vCPU box. The rate is the
-# median of CHURN_REPEATS runs; the floor sits at ~0.4x that median.
+# against ~9.8k with the live index, on a 2-vCPU box. The floor sits at
+# ~0.4x the median rate.
 # ----------------------------------------------------------------------
 CHURN_N_REQUESTS = 10_000
-CHURN_REPEATS = 3
 CHURN_FLOOR_RPS = 4_000.0
 
 
@@ -556,15 +543,12 @@ def run_chaos_combined():
 
 
 def test_chaos_combined_rate_floor(benchmark, save_text, record_bench):
-    runs = benchmark.pedantic(
-        lambda: [run_chaos_combined() for _ in range(CHURN_REPEATS)],
-        rounds=1, iterations=1)
-    rate = statistics.median(rate for _, rate in runs)
-    report = runs[-1][0]
+    report, rate = benchmark.pedantic(
+        lambda: median_run(run_chaos_combined), rounds=1, iterations=1)
     save_text(
         "engine_perf_chaos_combined",
         f"simulated {CHURN_N_REQUESTS} requests under fleet churn at "
-        f"{rate:,.0f} req/s, median of {CHURN_REPEATS} "
+        f"{rate:,.0f} req/s, median of {REPEATS} "
         f"(floor {CHURN_FLOOR_RPS:,.0f}); {len(report.chips)} chips ever "
         f"added, peak fleet {report.peak_fleet_size}, "
         f"{report.fault_stats['n_crashes']} crashes, "
@@ -589,11 +573,10 @@ def test_chaos_combined_rate_floor(benchmark, save_text, record_bench):
 # engine. Each stream is drawn as NumPy columns and each request is
 # built once, with its final id and tenant. The rate is requests
 # generated per second over 100k bursty requests plus a 3-region x 10k
-# diurnal federation set, the median of TRAFFIC_GEN_REPEATS runs; the
-# floor sits at ~0.45x the ~140k req/s median measured on a 2-vCPU box
-# (re-stamping each request with ``dataclasses.replace`` ran ~100k).
+# diurnal federation set; the floor sits at ~0.45x the ~140k req/s
+# median measured on a 2-vCPU box (re-stamping each request with
+# ``dataclasses.replace`` ran ~100k).
 # ----------------------------------------------------------------------
-TRAFFIC_GEN_REPEATS = 3
 TRAFFIC_GEN_PER_REGION = 10_000
 TRAFFIC_GEN_FLOOR_RPS = 65_000.0
 
@@ -618,15 +601,12 @@ def run_traffic_gen():
 
 
 def test_traffic_generation_rate_floor(benchmark, save_text, record_bench):
-    runs = benchmark.pedantic(
-        lambda: [run_traffic_gen() for _ in range(TRAFFIC_GEN_REPEATS)],
-        rounds=1, iterations=1)
-    rate = statistics.median(rate for _, rate in runs)
-    n_generated = runs[-1][0]
+    n_generated, rate = benchmark.pedantic(
+        lambda: median_run(run_traffic_gen), rounds=1, iterations=1)
     save_text(
         "engine_perf_traffic_gen",
         f"generated {n_generated} requests at {rate:,.0f} req/s, median of "
-        f"{TRAFFIC_GEN_REPEATS} (floor {TRAFFIC_GEN_FLOOR_RPS:,.0f})",
+        f"{REPEATS} (floor {TRAFFIC_GEN_FLOOR_RPS:,.0f})",
     )
     record_bench("traffic_gen", rate, TRAFFIC_GEN_FLOOR_RPS, n_generated)
     assert n_generated == N_REQUESTS + 3 * TRAFFIC_GEN_PER_REGION

@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # One-command verify: clean stale bytecode, fail fast on collection
 # errors, assert that tier-1 collects the scheduler invariant, chaos,
-# observability, frozen-trace-digest and engine perf-floor suites (so
-# they still run if testpaths ever change), run the tier-1 suite once,
-# check that `repro serve --rate nan` is refused, then smoke-run
-# the serving CLI end to end — static fleet, autoscaled heterogeneous
-# fleet with admission, async compile with prefetch, a two-tenant QoS
-# run with weighted admission and preemption, a strict-tier QoS run
-# diffed columnar-vs---no-columnar (the per-tier lanes must be
-# byte-identical to the scalar loop), a chaos run with fault
+# observability, frozen trace and report digest, and engine perf-floor
+# suites (so they still run if testpaths ever change), run the tier-1
+# suite once, check that `repro serve --rate nan` is refused, then
+# smoke-run the serving CLI end to end — static fleet, autoscaled
+# heterogeneous fleet with admission, async compile with prefetch, a
+# two-tenant QoS run with weighted admission and preemption, a
+# strict-tier QoS run (tiers only), a chaos run with fault
 # injection and hedging, a predictive-autoscaling run that round-trips
 # a trace library through a temp dir (the second invocation must
 # warm-start from what the first one flushed), and an observability
@@ -39,7 +38,7 @@ for suite in tests/test_serve_invariants.py tests/test_serve_tenants.py \
   tests/test_obs_tracer.py tests/test_obs_metrics.py \
   tests/test_obs_export.py tests/test_obs_flight.py \
   tests/test_obs_neutrality.py tests/test_serve_traffic.py \
-  benchmarks/test_engine_perf.py; do
+  tests/test_serve_report_digests.py benchmarks/test_engine_perf.py; do
   grep -q "^$suite::" "$LIBDIR/collected.txt" || {
     echo "tier-1 no longer collects $suite" >&2
     exit 1
@@ -64,19 +63,11 @@ python -m repro serve --requests 40 --chips 2 --width 160 --height 90 \
   --tenants 'premium:tier=0,weight=4,share=0.25;economy:tier=1,slo=2' \
   --admission weighted --preempt
 
-# QoS-columnar smoke: a strict-tier two-tenant run (no weighted
-# budgets, no preemption) rides the columnar per-tier lanes; its
-# report must be byte-identical to the same run forced onto the
-# scalar reference loop with --no-columnar.
+# Strict-tier QoS smoke: a two-tenant run with tiers only (no weighted
+# budgets, no preemption) batches from the per-(tier, pipeline) lanes.
 python -m repro serve --requests 40 --chips 2 --width 160 --height 90 \
   --traffic bursty --rate 300 --seed 5 \
-  --tenants 'premium:tier=0,share=0.25;economy:tier=1,slo=2' \
-  > "$LIBDIR/qos_columnar.txt"
-python -m repro serve --requests 40 --chips 2 --width 160 --height 90 \
-  --traffic bursty --rate 300 --seed 5 \
-  --tenants 'premium:tier=0,share=0.25;economy:tier=1,slo=2' \
-  --no-columnar > "$LIBDIR/qos_scalar.txt"
-diff "$LIBDIR/qos_columnar.txt" "$LIBDIR/qos_scalar.txt"
+  --tenants 'premium:tier=0,share=0.25;economy:tier=1,slo=2'
 
 # Chaos serving: literal fault spec (recoverable crash + straggler +
 # rollback) with hedging, and a seeded random plan; both must report

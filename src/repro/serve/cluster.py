@@ -24,10 +24,9 @@ A sharding policy picks the chip a batch runs on:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Container, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Container, Sequence
 
 from repro.core.config import AcceleratorConfig
 from repro.core.simulator import UniRenderAccelerator
@@ -147,6 +146,9 @@ class ChipState:
         }
 
 
+_free_at = operator.attrgetter("free_at_s")
+
+
 #: A policy maps (active chips, batch, now, est_service_s) -> the chip
 #: to run the batch on. ``est_service_s`` is the dispatcher's current
 #: estimate of one frame's service time (0.0 while the service is cold);
@@ -176,19 +178,41 @@ def _round_robin() -> ShardingPolicy:
 
 def _least_loaded(chips: list[ChipState], batch: Batch, now: float,
                   est_service_s: float = 0.0) -> ChipState:
-    return min(chips, key=lambda c: (c.free_at_s, c.chip_id))
+    # One pass in chip-id order: a strict ``<`` keeps the lowest chip id
+    # among equally early chips.
+    best = chips[0]
+    best_free = best.free_at_s
+    for chip in chips:
+        if chip.free_at_s < best_free:
+            best = chip
+            best_free = chip.free_at_s
+    return best
 
 
 def _pipeline_affinity(chips: list[ChipState], batch: Batch, now: float,
                        est_service_s: float = 0.0) -> ChipState:
-    coldest = _least_loaded(chips, batch, now)
-    warm = [c for c in chips if c.configured_pipeline == batch.pipeline]
-    if not warm:
+    # One pass finds both the earliest-free chip and the earliest-free
+    # chip already configured for the batch's pipeline (lowest chip id
+    # among ties, as in ``_least_loaded``).
+    pipeline = batch.pipeline
+    coldest = chips[0]
+    cold_free = coldest.free_at_s
+    warmest = None
+    warm_free = 0.0
+    for chip in chips:
+        free = chip.free_at_s
+        if free < cold_free:
+            coldest = chip
+            cold_free = free
+        if chip.configured_pipeline == pipeline and (
+                warmest is None or free < warm_free):
+            warmest = chip
+            warm_free = free
+    if warmest is None or warmest is coldest:
         return coldest
-    warmest = min(warm, key=lambda c: (c.free_at_s, c.chip_id))
     # Waiting for the warm chip is worth at most one avoided switch.
-    cold_start = max(now, coldest.free_at_s)
-    warm_start = max(now, warmest.free_at_s)
+    cold_start = max(now, cold_free)
+    warm_start = max(now, warm_free)
     if warm_start <= cold_start + coldest.switch_s:
         return warmest
     return coldest
@@ -232,116 +256,6 @@ SHARDING_POLICIES: dict[str, Callable[[], ShardingPolicy]] = {
     "pipeline-affinity": lambda: _pipeline_affinity,
     "cost-aware": lambda: _cost_aware,
 }
-
-
-class ChipScoreLanes:
-    """Vectorized chip scoring over a static fleet.
-
-    The columnar engine mirrors the fleet into NumPy columns once
-    (free-at, cost-rate, switch-time, configured-pipeline code) and
-    scores each dispatch against the columns instead of re-walking
-    :class:`ChipState` objects and policy closures. Pipelines are
-    addressed by the engine's integer vocabulary codes; a chip whose
-    PE array is unconfigured (or configured for a pipeline outside the
-    vocabulary) carries code ``-1``, which no batch ever matches.
-
-    Every policy reproduces the scalar tie-break contract exactly
-    (``TestTieBreakContract``): ``argmin`` returns the *first* minimal
-    index, i.e. the lowest chip id among ties, which is precisely what
-    the scalar ``min(..., key=(score, chip_id))`` scans produce. The
-    stateful ``round-robin`` policy is deliberately unsupported — its
-    rotation pointer lives in the cluster's closure, and bypassing it
-    would fork the state; the engine falls back to
-    :meth:`ServeCluster.select_chip` for it.
-
-    Only valid while the fleet is static and healthy; the engine's
-    columnar eligibility gate guarantees no autoscaling, crashes, or
-    retirements for the lifetime of a lanes object.
-    """
-
-    #: Policies with a pure (stateless) columnar scorer.
-    SUPPORTED = frozenset({"least-loaded", "pipeline-affinity", "cost-aware"})
-
-    def __init__(
-        self,
-        chips: Sequence[ChipState],
-        policy: str,
-        pipeline_codes: Mapping[str, int],
-    ) -> None:
-        if policy not in self.SUPPORTED:
-            raise ConfigError(
-                f"policy {policy!r} has no columnar score lanes"
-            )
-        self.policy = policy
-        self.free_at = np.array(
-            [chip.free_at_s for chip in chips], dtype=np.float64
-        )
-        self.cost_rate = np.array(
-            [chip.config.chip_cost_rate for chip in chips], dtype=np.float64
-        )
-        self.switch_s = np.array(
-            [chip.switch_s for chip in chips], dtype=np.float64
-        )
-        self.pipe_code = np.array(
-            [
-                pipeline_codes.get(chip.configured_pipeline, -1)
-                if chip.configured_pipeline is not None else -1
-                for chip in chips
-            ],
-            dtype=np.int64,
-        )
-
-    def select(
-        self,
-        code: int,
-        now: float,
-        est_service_s: float = 0.0,
-        deadline: float = float("inf"),
-    ) -> int:
-        """Chip id for a batch of pipeline ``code`` dispatched at ``now``.
-
-        ``deadline`` is the batch head's SLO deadline and only read by
-        the cost-aware policy (pass the default for the others).
-        """
-        if self.policy == "least-loaded":
-            return int(self.free_at.argmin())
-        if self.policy == "pipeline-affinity":
-            return self._affinity(code, now)
-        return self._cost_aware(code, now, est_service_s, deadline)
-
-    def _affinity(self, code: int, now: float) -> int:
-        free = self.free_at
-        coldest = int(free.argmin())
-        warm = self.pipe_code == code
-        if not warm.any():
-            return coldest
-        warmest = int(np.where(warm, free, np.inf).argmin())
-        # Same float ops as the scalar policy: waiting for the warm chip
-        # is worth at most one avoided switch.
-        cold_free = float(free[coldest])
-        warm_free = float(free[warmest])
-        cold_start = now if now > cold_free else cold_free
-        warm_start = now if now > warm_free else warm_free
-        if warm_start <= cold_start + float(self.switch_s[coldest]):
-            return warmest
-        return coldest
-
-    def _cost_aware(
-        self, code: int, now: float, est_service_s: float, deadline: float
-    ) -> int:
-        free = self.free_at
-        start = np.maximum(free, now) + self.switch_s * (self.pipe_code != code)
-        feasible = start + est_service_s <= deadline
-        if not feasible.any():
-            return int(free.argmin())
-        rate = np.where(feasible, self.cost_rate, np.inf)
-        best_rate = rate.min()
-        return int(np.where(rate == best_rate, free, np.inf).argmin())
-
-    def note_dispatch(self, chip_id: int, code: int, free_at_s: float) -> None:
-        """Record a dispatch outcome back into the columns."""
-        self.free_at[chip_id] = free_at_s
-        self.pipe_code[chip_id] = code
 
 
 def parse_fleet_spec(
@@ -498,7 +412,7 @@ class ServeCluster:
 
     @property
     def earliest_free_s(self) -> float:
-        return min(chip.free_at_s for chip in self._active)
+        return min(map(_free_at, self._active))
 
     def has_idle_chip(self, now: float) -> bool:
         """True when some active chip could start a batch right now —

@@ -9,8 +9,8 @@ seed's ad-hoc two-clock loop. :class:`ServeCluster`,
 * **arrival** — the admission policy rules on the request at its
   arrival instant (projections now include any compile backlog its
   trace would wait on); admitted requests join an indexed pending
-  structure (per-pipeline lanes plus an arrival-ordered anchor queue,
-  so batch formation is O(batch), not O(queue)).
+  structure (per-(tier, pipeline) lanes plus an arrival-ordered anchor
+  queue, so batch formation is O(batch), not O(queue)).
 * **compile-done** — compilation is a first-class resource: a cache
   miss enqueues work on a pool of compile workers whose deterministic,
   program-size-derived latency (:class:`CompileLatencyModel`) overlaps
@@ -45,7 +45,7 @@ trailing it.
 
 The pricing hot path is vectorized: every distinct (trace, chip config)
 pair is simulated exactly once into a :class:`CostTable` — plain-float
-rows for the scalar event loop, NumPy columns for analysis — so a
+rows for the event loop, NumPy columns for analysis — so a
 100k-request fleet simulation prices frames in O(distinct traces).
 
 Multi-tenant QoS rides the same loop: the pending index keeps one
@@ -86,7 +86,7 @@ from repro.obs.observer import Observer, resolve_observer
 from repro.serve.admission import AdmissionPolicy, ShedRecord
 from repro.serve.autoscaler import Autoscaler
 from repro.serve.batcher import Batch, PipelineBatcher
-from repro.serve.cluster import ChipScoreLanes, ChipState, ServeCluster
+from repro.serve.cluster import ChipState, ServeCluster
 from repro.serve.faults import (FailedRecord, FaultPlan, HedgePolicy,
                                 resolve_faults, resolve_hedge)
 from repro.serve.metrics import ServiceReport, publish_report
@@ -472,7 +472,7 @@ class CostTable:
     Chips at the same design point render identical frames in identical
     cycles, so the fleet pays the performance model once per distinct
     (trace key, config) pair — O(distinct traces), however many requests
-    replay them. Rows are plain float tuples for the scalar event loop;
+    replay them. Rows are plain float tuples for the event loop;
     :meth:`as_arrays` exposes the same table as NumPy columns for
     analysis and bulk pricing.
     """
@@ -551,16 +551,18 @@ def response_timeline(
 # Pending-queue index
 # ----------------------------------------------------------------------
 class _PendingIndex:
-    """Arrival-ordered queue with per-pipeline lanes and O(1) counters.
+    """Arrival-ordered queue with per-(tier, pipeline) lanes and O(1)
+    counters.
 
     Per-tier ``masters`` preserve the head-of-line anchor *within each
     priority tier* — the anchor scan walks tiers most-premium first, so
     queued premium work always dispatches ahead of queued economy work
     (with a single tenant class every request lands in one tier and the
     structure degenerates to the old global FIFO, event for event).
-    Per-pipeline lanes give batch formation its same-pipeline followers
-    without scanning the whole queue; the pipeline counters give
-    admission its backlog projection without iterating pending requests.
+    Per-(tier, pipeline) lanes give batch formation its same-tier,
+    same-pipeline followers without scanning the whole queue or walking
+    past other tiers' requests; the per-pipeline counters give admission
+    its backlog projection without iterating pending requests.
     Dispatched requests are removed lazily — each structure consumes its
     own tombstone set, so a request dropped from one is still recognized
     by the other. :meth:`restore` is the preemption path's inverse of
@@ -571,29 +573,43 @@ class _PendingIndex:
     def __init__(self) -> None:
         self.masters: dict[int, deque[RenderRequest]] = {}
         self._tiers: list[int] = []       # sorted keys of ``masters``
-        self.lanes: dict[str, deque[RenderRequest]] = {}
+        self.lanes: dict[tuple[int, str], deque[RenderRequest]] = {}
         self.counts: dict[str, int] = {}
         self.n_pending = 0
         self._gone_master: set[int] = set()
         self._gone_lane: set[int] = set()
 
-    def push(self, request: RenderRequest) -> None:
-        tier = request.tenant.tier
+    def _master(self, tier: int) -> deque[RenderRequest]:
         master = self.masters.get(tier)
         if master is None:
             master = self.masters[tier] = deque()
             self._tiers = sorted(self.masters)
-        master.append(request)
-        lane = self.lanes.get(request.pipeline)
+        return master
+
+    def _lane(self, key: tuple[int, str]) -> deque[RenderRequest]:
+        lane = self.lanes.get(key)
         if lane is None:
-            lane = self.lanes[request.pipeline] = deque()
+            lane = self.lanes[key] = deque()
+        return lane
+
+    def push(self, request: RenderRequest) -> None:
+        tier = request.tenant.tier
+        pipeline = request.pipeline
+        master = self.masters.get(tier)
+        if master is None:
+            master = self._master(tier)
+        master.append(request)
+        lane = self.lanes.get((tier, pipeline))
+        if lane is None:
+            lane = self._lane((tier, pipeline))
         lane.append(request)
-        self.counts[request.pipeline] = self.counts.get(request.pipeline, 0) + 1
+        self.counts[pipeline] = self.counts.get(pipeline, 0) + 1
         self.n_pending += 1
 
     def anchor(self, is_ready) -> Optional[RenderRequest]:
         """Oldest pending *ready* request of the most premium tier that
-        has one (the batch anchor)."""
+        has one (the batch anchor). ``is_ready=None`` means every
+        pending request is ready."""
         gone = self._gone_master
         for tier in self._tiers:
             master = self.masters[tier]
@@ -602,34 +618,29 @@ class _PendingIndex:
             for request in master:
                 if request.request_id in gone:
                     continue
-                if is_ready(request):
+                if is_ready is None or is_ready(request):
                     return request
         return None
 
     def take(self, pipeline: str, limit: int, is_ready,
-             tier: Optional[int] = None) -> list[RenderRequest]:
-        """Up to ``limit`` ready requests of ``pipeline``, in queue order.
+             tier: int = 0) -> list[RenderRequest]:
+        """Up to ``limit`` ready requests of the ``(tier, pipeline)``
+        lane, in queue order (``is_ready=None``: all are ready).
 
         Unready requests keep their place in the lane (skipped, never
-        reordered); previously dispatched ones are lazily dropped. With
-        ``tier`` set, only requests of that priority tier are taken —
-        QoS batches never carry economy passengers ahead of queued
-        premium work of another pipeline.
+        reordered); previously dispatched ones are lazily dropped.
+        Batches never mix tiers, so QoS batches never carry economy
+        passengers ahead of queued premium work of another pipeline.
         """
-        lane = self.lanes[pipeline]
+        lane = self.lanes[(tier, pipeline)]
         gone = self._gone_lane
         while lane and lane[0].request_id in gone:
             gone.discard(lane.popleft().request_id)
         taken: list[RenderRequest] = []
         contiguous = True
         for request in lane:
-            if request.request_id in gone:
-                contiguous = False
-                continue
-            if tier is not None and request.tenant.tier != tier:
-                contiguous = False
-                continue
-            if not is_ready(request):
+            if request.request_id in gone or (
+                    is_ready is not None and not is_ready(request)):
                 contiguous = False
                 continue
             taken.append(request)
@@ -655,27 +666,27 @@ class _PendingIndex:
         Inverse of :meth:`take` for the preemption path. Members that
         are still physically resident (they were only tombstoned) just
         lose their tombstones and keep their original slots; members the
-        fast paths removed outright are merged back in
+        fast paths removed outright are merged back into their own
+        ``(tier, pipeline)`` lane and tier master in
         ``(arrival_s, request_id)`` order, so queue fairness survives a
         displacement bit for bit.
         """
         if not requests:
             return
+        counts = self.counts
+        by_lane: dict[tuple[int, str], list[RenderRequest]] = {}
+        by_tier: dict[int, list[RenderRequest]] = {}
         for request in requests:
             self._gone_master.discard(request.request_id)
             self._gone_lane.discard(request.request_id)
-
-        pipeline = requests[0].pipeline
-        lane = self.lanes[pipeline]
-        self._merge_missing(lane, requests)
-        for tier in {r.tenant.tier for r in requests}:
-            master = self.masters.get(tier)
-            if master is None:
-                master = self.masters[tier] = deque()
-                self._tiers = sorted(self.masters)
-            self._merge_missing(
-                master, [r for r in requests if r.tenant.tier == tier])
-        self.counts[pipeline] += len(requests)
+            tier = request.tenant.tier
+            by_lane.setdefault((tier, request.pipeline), []).append(request)
+            by_tier.setdefault(tier, []).append(request)
+            counts[request.pipeline] = counts.get(request.pipeline, 0) + 1
+        for key, members in by_lane.items():
+            self._merge_missing(self._lane(key), members)
+        for tier, members in by_tier.items():
+            self._merge_missing(self._master(tier), members)
         self.n_pending += len(requests)
 
     def cancel(self, request: RenderRequest) -> None:
@@ -698,166 +709,6 @@ class _PendingIndex:
             list(queue) + missing, key=lambda r: (r.arrival_s, r.request_id))
         queue.clear()
         queue.extend(merged)
-
-
-# ----------------------------------------------------------------------
-# Deferred observability (the columnar loop's event buffer)
-# ----------------------------------------------------------------------
-class _ColumnarObsLog:
-    """Event buffer the columnar loop records into instead of calling
-    the observer per event.
-
-    Rows live in preallocated (kind, t, int, float) columns that double
-    on demand, plus one aligned object slot (request / response /
-    pipeline name) — the hot loop pays a handful of array stores per
-    event instead of a Python observer dispatch. :meth:`replay` then
-    drives the real :class:`~repro.obs.observer.Observer` at the end of
-    the run, firing every hook in exactly the scalar loop's call order.
-
-    Why replay is exact: each row is stamped with the scalar iteration
-    instant it would have fired at (the arrival instant for ingest
-    hooks, the dispatch instant for batch/frame hooks), and rows are
-    appended in non-decreasing stamp order with ingest-before-dispatch
-    at equal stamps — the scalar order. The scalar loop additionally
-    calls ``maybe_snapshot(now)`` once per event-loop instant; for a
-    columnar-eligible run those instants are exactly the distinct
-    arrival timestamps plus the batch-finish (chip-free) instants, both
-    of which the buffer has, so the replay interleaves snapshot calls
-    at every recorded instant strictly below the next row's stamp.
-    Duplicate snapshot calls are no-ops (the cadence gate), so the
-    dedup changes nothing. Cache hit/miss/eviction counters — live
-    mirrors on the scalar path — are unbound during the run and
-    replayed here per frame from the recorded deltas, so a mid-run
-    flight-recorder capture sees the same registry state either way.
-    """
-
-    _ARRIVE = 0
-    _ADMIT = 1
-    _SHED = 2
-    _CACHE = 3
-    _COMPILE = 4
-    _RESPONSE = 5
-    _BATCH = 6
-
-    __slots__ = ("kind", "t", "i0", "i1", "i2", "i3", "f0", "f1",
-                 "obj", "n", "finishes", "record_cache")
-
-    def __init__(self, capacity: int, record_cache: bool) -> None:
-        capacity = max(capacity, 64)
-        self.kind = np.empty(capacity, dtype=np.int8)
-        self.t = np.empty(capacity, dtype=np.float64)
-        self.i0 = np.zeros(capacity, dtype=np.int64)
-        self.i1 = np.zeros(capacity, dtype=np.int64)
-        self.i2 = np.zeros(capacity, dtype=np.int64)
-        self.i3 = np.zeros(capacity, dtype=np.int64)
-        self.f0 = np.zeros(capacity, dtype=np.float64)
-        self.f1 = np.zeros(capacity, dtype=np.float64)
-        self.obj: list[object] = []
-        self.n = 0
-        #: Batch-finish instants (the chip-free events the columnar loop
-        #: never pushes) — with the arrival column, the snapshot grid.
-        self.finishes: list[float] = []
-        self.record_cache = record_cache
-
-    def _grow(self, need: int) -> None:
-        cap = len(self.kind)
-        while cap < need:
-            cap *= 2
-        for field in ("kind", "t", "i0", "i1", "i2", "i3", "f0", "f1"):
-            old = getattr(self, field)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[:self.n] = old[:self.n]
-            setattr(self, field, new)
-
-    def append(self, kind: int, t: float, obj: object = None,
-               i0: int = 0, i1: int = 0, i2: int = 0, i3: int = 0,
-               f0: float = 0.0, f1: float = 0.0) -> None:
-        n = self.n
-        if n == len(self.kind):
-            self._grow(n + 1)
-        self.kind[n] = kind
-        self.t[n] = t
-        self.i0[n] = i0
-        self.i1[n] = i1
-        self.i2[n] = i2
-        self.i3[n] = i3
-        self.f0[n] = f0
-        self.f1[n] = f1
-        self.obj.append(obj)
-        self.n = n + 1
-
-    def append_arrivals(self, arr_np: np.ndarray, lo: int, hi: int,
-                        requests: Sequence) -> None:
-        """Bulk-record on_arrival rows for one ingest window (the
-        vectorized no-admission path)."""
-        w = hi - lo
-        n = self.n
-        if n + w > len(self.kind):
-            self._grow(n + w)
-        self.kind[n:n + w] = self._ARRIVE
-        self.t[n:n + w] = arr_np[lo:hi]
-        self.obj.extend(requests[lo:hi])
-        self.n = n + w
-
-    def replay(self, engine, arr_np: np.ndarray) -> None:
-        """Fire the recorded run into the observer, scalar order."""
-        obs = engine._obs
-        admission = engine.admission
-        metrics = obs.metrics
-        m_hits = m_misses = m_evictions = None
-        if metrics is not None:
-            m_hits = metrics.counter("cache.hits")
-            m_misses = metrics.counter("cache.misses")
-            m_evictions = metrics.counter("cache.evictions")
-        if self.finishes:
-            snap_ts = np.union1d(arr_np, np.asarray(self.finishes))
-        else:
-            snap_ts = np.unique(arr_np)
-        si = 0
-        ns = len(snap_ts)
-        kinds = self.kind
-        ts = self.t
-        objs = self.obj
-        wants = obs.wants
-        snapshot = obs.maybe_snapshot
-        for r in range(self.n):
-            t_row = ts[r]
-            while si < ns and snap_ts[si] < t_row:
-                snapshot(float(snap_ts[si]))
-                si += 1
-            kind = kinds[r]
-            if kind == self._CACHE:
-                if self.i0[r]:
-                    m_hits.inc()
-                else:
-                    m_misses.inc()
-                    if self.i1[r]:
-                        m_evictions.inc(int(self.i1[r]))
-            elif kind == self._RESPONSE:
-                resp = objs[r]
-                obs.on_response(resp, wants(resp.request.request_id))
-            elif kind == self._ARRIVE:
-                req = objs[r]
-                obs.on_arrival(float(t_row), req, wants(req.request_id))
-            elif kind == self._BATCH:
-                obs.on_batch(float(self.f0[r]), float(self.f1[r]),
-                             int(self.i0[r]), int(self.i1[r]),
-                             int(self.i2[r]), objs[r], int(self.i3[r]))
-            elif kind == self._COMPILE:
-                obs.on_compile_sync(float(self.f0[r]), float(self.f1[r]),
-                                    int(self.i0[r]), objs[r])
-            elif kind == self._ADMIT:
-                req = objs[r]
-                admission.note_verdict("admitted")
-                obs.on_admit(float(t_row), req, "admit",
-                             wants(req.request_id))
-            else:  # _SHED
-                req = objs[r]
-                admission.note_verdict("shed")
-                obs.on_shed(float(t_row), req, wants(req.request_id))
-        while si < ns:
-            snapshot(float(snap_ts[si]))
-            si += 1
 
 
 # ----------------------------------------------------------------------
@@ -908,7 +759,6 @@ class EventEngine:
         observer: Optional[Observer] = None,
         faults: Optional[FaultPlan] = None,
         hedge: "HedgePolicy | bool | None" = None,
-        columnar: bool = True,
     ) -> None:
         ordered = sorted(requests, key=_arrival_order)
         if not ordered:
@@ -998,11 +848,7 @@ class EventEngine:
             self._hits_baseline = dict(self.cache.hits_by_key)
 
         # -- multi-tenant QoS state -------------------------------------
-        # Tier-filtered batching switches on when the trace actually
-        # carries more than one priority tier (or preemption is armed);
-        # a single-class trace takes the exact pre-tenant code paths.
         self.preempt = preempt
-        self._qos = preempt or len({r.tenant.tier for r in ordered}) > 1
         self._staged: dict[int, _StagedBatch] = {}   # chip_id -> batch
         self._preempt_count: dict[int, int] = {}     # request_id -> times
         self._displaced_from: dict[int, int] = {}    # request_id -> chip_id
@@ -1091,53 +937,21 @@ class EventEngine:
                 if crash.down_s is not None:
                     self._push(crash.recover_at_s, _CHIP_RECOVER, crash)
 
-        # -- columnar fast path eligibility ------------------------------
-        # The de-interpreted run loop (:meth:`_run_columnar`) holds the
-        # pending set as per-(tier, pipeline) index lanes over NumPy
-        # arrival columns and skips the event heap entirely. It is taken
-        # only for configurations whose scalar schedule it reproduces
-        # bit for bit: a static fleet (no autoscaler, no faults, no
-        # hedging — chaos must stay on the reference loop), synchronous
-        # compile (no worker pool, no prefetch), no preemption (staging
-        # reorders dispatch mid-flight), no weighted admission (its
-        # per-tenant budgets rewrite the backlog projection), and an
-        # admission policy that never rewrites requests (an unknown
-        # policy subclass conservatively falls back to scalar). Strict-
-        # tier multi-tenant traffic and an attached observer *are*
-        # eligible: tiers get their own lanes, and observability is
-        # recorded into a :class:`_ColumnarObsLog` and replayed at
-        # finalize. ``columnar=False`` is the explicit escape hatch.
+        # -- per-chip price memo -----------------------------------------
+        # ``chip_id -> {trace key: priced row}``: repeat frames on a chip
+        # skip the cost table's (key, config) hashing. An eviction may
+        # force a later recompile of the same key, and a memoized row
+        # must not outlive the program it was priced for, so the cache
+        # reports every eviction here.
         self._price_memo: dict[int, dict[TraceKey,
                                          tuple[float, float, float]]] = {}
-        self._columnar = bool(
-            columnar
-            and self.autoscaler is None
-            and not self.async_compile
-            and self.prefetcher is None
-            and not self.preempt
-            and self._faults is None
-            and self._hedge is None
-            and not self._tenant_aware
-            and (admission is None
-                 or not getattr(admission, "may_degrade", True))
-        )
-        # Price-memo hygiene (both loops): an eviction may force a later
-        # recompile of the same key, and the memoized price row must not
-        # outlive the program it was priced for.
         self.cache.on_evict = self._note_evicted
-        if self._columnar:
-            if self._obs is not None and self._obs.metrics is not None:
-                # Observability defers to the replay pass; detach the
-                # cache's live metric mirrors so the hot loop pays no
-                # per-access increments (the warm-start counts above
-                # landed live, before this point, in both run modes).
-                self.cache.unbind_metrics()
 
     def _note_evicted(self, key: TraceKey) -> None:
-        """Cache eviction listener (columnar runs): drop the evicted
-        trace's price row from every chip's memo. A later recompile of
-        the key re-prices through the cost table instead of riding a
-        row memoized for the evicted program."""
+        """Cache eviction listener: drop the evicted trace's price row
+        from every chip's memo. A later recompile of the key re-prices
+        through the cost table instead of riding a row memoized for the
+        evicted program."""
         for memo in self._price_memo.values():
             memo.pop(key, None)
 
@@ -1180,6 +994,13 @@ class EventEngine:
     # -- readiness ------------------------------------------------------
     def _is_ready(self, request: RenderRequest) -> bool:
         return request.trace_key not in self._waiting_done_s
+
+    @property
+    def _ready(self):
+        """The pending index's readiness predicate: only an async
+        compile leaves a request waiting on its trace, so synchronous
+        runs pass ``None`` (every pending request is ready)."""
+        return self._is_ready if self.async_compile else None
 
     @property
     def _n_ready(self) -> int:
@@ -1475,6 +1296,9 @@ class EventEngine:
         obs = self._obs
         faults = self._faults
         hedge_mode = self._hedge is not None
+        memo = self._price_memo.get(chip.chip_id)
+        if memo is None:
+            memo = self._price_memo[chip.chip_id] = {}
         crash = None
         if faults is not None:
             crash = faults.next_crash(chip.chip_id, dispatched_s)
@@ -1514,8 +1338,10 @@ class EventEngine:
                         compile_wait *= faults.compile_dilation(t)
                     compile_s = compile_wait
                     origin = "sync"
-            cycles, reconfig_cycles, energy_j = cost.price(
-                key, accelerator, program)
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = cost.price(key, accelerator, program)
+            cycles, reconfig_cycles, energy_j = row
 
             switch = 0.0
             if chip.configured_pipeline != request.pipeline:
@@ -2042,17 +1868,17 @@ class EventEngine:
         preempt = self.preempt
         if self._staged:
             self._flush_staged(now)
-        qos_tier = self._qos
         tenant_aware = self._tenant_aware
-        while self._n_ready > 0 and cluster.has_idle_chip(now):
+        ready = self._ready
+        while (pending.n_pending > self._n_waiting
+               and cluster.has_idle_chip(now)):
             if self.autoscaler is not None:
                 self._controller_tick(now, pending.n_pending)
-            anchor = pending.anchor(self._is_ready)
+            anchor = pending.anchor(ready)
             if anchor is None:
                 break
-            taken = pending.take(
-                anchor.pipeline, batcher.max_batch, self._is_ready,
-                tier=anchor.tenant.tier if qos_tier else None)
+            taken = pending.take(anchor.pipeline, batcher.max_batch, ready,
+                                 anchor.tenant.tier)
             if tenant_aware:
                 self._tenant_remove(taken)
             if self._hedge is not None:
@@ -2097,12 +1923,11 @@ class EventEngine:
                        and chip.free_at_s > now
                        for chip in cluster.active_chips):
                 return
-            anchor = pending.anchor(self._is_ready)
+            anchor = pending.anchor(self._ready)
             if anchor is None:
                 return
-            taken = pending.take(
-                anchor.pipeline, batcher.max_batch, self._is_ready,
-                tier=anchor.tenant.tier)
+            taken = pending.take(anchor.pipeline, batcher.max_batch,
+                                 self._ready, anchor.tenant.tier)
             if self._tenant_aware:
                 self._tenant_remove(taken)
             if self._hedge is not None:
@@ -2119,18 +1944,15 @@ class EventEngine:
     # -- main loop -------------------------------------------------------
     def run(self) -> ServiceReport:
         try:
-            if self._columnar:
-                now = self._run_columnar()
-            else:
-                now = self._run_scalar()
+            now = self._run_events()
         finally:
             # A shared cache outlives this engine; don't leave the
             # eviction listener pointing at a finished run's memo.
             self.cache.on_evict = None
         return self._finalize(now)
 
-    def _run_scalar(self) -> float:
-        """The general event loop, every feature armed.
+    def _run_events(self) -> float:
+        """The event loop, every feature armed.
 
         Arrivals are consumed from their sorted list in timestamp
         batches and merged with the dynamic-event heap at each instant.
@@ -2139,11 +1961,29 @@ class EventEngine:
         heap event reproduces the old single-heap ``(t, kind, seq)``
         schedule event for event (see the tie-break contract at the
         event-kind constants).
+
+        **Busy-fleet ingest window.** While every chip is busy, an
+        instant's dispatch round is a no-op, and chips only change
+        state at heap events (a finished batch pushes its chip-free
+        event; crashes and recoveries are events too). So every arrival
+        instant strictly before both the fleet's earliest free instant
+        and the next heap event would only ingest; the loop ingests
+        those instants back to back, still taking one metrics snapshot
+        per instant. The window stays shut while a per-instant hook is
+        armed — an autoscaler, hedging, a prefetcher, or preemption —
+        because each of those must run at every arrival instant.
         """
         events = self._events
         pending = self._pending
+        cluster = self.cluster
+        obs = self._obs
         arrivals = self._arrivals
         arrival_t = self._arrival_t
+        ingest = self._ingest
+        autoscaler = self.autoscaler
+        hedge = self._hedge
+        window = (autoscaler is None and hedge is None
+                  and self.prefetcher is None and not self.preempt)
         n = len(arrivals)
         i = 0
         now = 0.0
@@ -2158,7 +1998,7 @@ class EventEngine:
             # arrivals ingest, compiles land, chips free, ticks tick.
             ingested = False
             while i < n and arrival_t[i] == now:
-                self._ingest(arrivals[i], now)
+                ingest(arrivals[i], now)
                 i += 1
                 ingested = True
             while events and events[0][0] == now:
@@ -2166,7 +2006,7 @@ class EventEngine:
                 if kind == _COMPILE_DONE:
                     self._finish_compile(now, payload)
                 elif kind == _SCALE_TICK:
-                    if self.autoscaler is not None and pending.n_pending == 0:
+                    if autoscaler is not None and pending.n_pending == 0:
                         self._controller_tick(now, 0)
                 elif kind == _CHIP_CRASH:
                     self._on_crash(now, payload)
@@ -2177,19 +2017,19 @@ class EventEngine:
                 # _CHIP_FREE carries no state change — the chip already
                 # knows its free_at_s; the pop just wakes the dispatcher.
             if ingested:
-                if self.autoscaler is not None and (
+                if autoscaler is not None and (
                         self._n_ready == 0
-                        or not self.cluster.has_idle_chip(now)):
+                        or not cluster.has_idle_chip(now)):
                     # Arrival decision point with nothing dispatchable:
                     # the controller still observes the queue building.
                     self._controller_tick(now, pending.n_pending)
                 self._issue_prefetches(now)
-            if self._hedge is not None and pending.n_pending > 0:
+            if hedge is not None and pending.n_pending > 0:
                 self._maybe_hedge(now)
             self._dispatch_all(now)
-            if self._obs is not None:
-                self._obs.maybe_snapshot(now)
-            if (self.autoscaler is not None and pending.n_pending == 0
+            if obs is not None:
+                obs.maybe_snapshot(now)
+            if (autoscaler is not None and pending.n_pending == 0
                     and self._tick_pushed_at != now):
                 next_t = events[0][0] if events else None
                 if i < n and (next_t is None or arrival_t[i] < next_t):
@@ -2199,347 +2039,26 @@ class EventEngine:
                     # gap, where the controller can drain surplus chips.
                     self._tick_pushed_at = now
                     self._push(now, _SCALE_TICK)
-        return now
-
-    def _run_columnar(self) -> float:
-        """The de-interpreted hot loop for gated configurations.
-
-        Arrivals live in NumPy columns (timestamps and pipeline codes);
-        each step either jumps to the earliest chip-free instant —
-        ingesting the whole arrival window it skips over with one
-        ``searchsorted`` and a vectorized per-pipeline group scan — or
-        to the next arrival batch. The pending set is per-pipeline
-        *index lanes* (positions into the sorted arrival columns) with
-        head cursors, so anchor selection and batch formation are a
-        handful of integer compares instead of deque walks, and the
-        event heap is never touched: the only dynamic event this
-        configuration can produce is chip-free, which the loop replaces
-        by recomputing ``min(free_at_s)`` over a static fleet.
-
-        Equivalence to :meth:`_run_scalar` (pinned by the goldens and
-        ``tests/test_serve_columnar.py``): while every chip is busy, a
-        scalar dispatch round is a no-op, so arrivals strictly before
-        the earliest free instant only ingest — batching them changes
-        nothing; arrivals *at* that instant ingest before the chip-free
-        wake (kind 0 < kind 2), which ``side="right"`` reproduces; and
-        within one instant arrivals ingest in sorted order, exactly the
-        arrival-seq order. Float order inside a batch is preserved
-        operation for operation in :meth:`_execute_columnar`.
-
-        Three extensions keep heavier configurations on this loop:
-
-        * **Per-tier lanes** — strict-tier multi-tenant traffic gets one
-          lane per (tier, pipeline); the anchor scan walks tiers most
-          premium first, so QoS dispatch order (premium drains first,
-          batches never mix tiers) is reproduced without the deque walk.
-          With one tier the addressing degenerates to the flat lanes.
-        * **Vectorized chip scoring** — stateless sharding policies
-          score over :class:`ChipScoreLanes` NumPy columns instead of
-          re-walking chip objects (round-robin keeps its stateful
-          cluster closure).
-        * **Deferred observability** — with an observer attached, every
-          would-be hook is recorded into a :class:`_ColumnarObsLog` and
-          replayed in scalar call order after the loop drains.
-        """
-        ordered = self._arrivals
-        arrival_t = self._arrival_t
-        arr_np = np.asarray(arrival_t)
-        n = len(ordered)
-        pipes = [request.pipeline for request in ordered]
-        # Pipeline-id column: vocabulary in first-appearance order.
-        vocab: dict[str, int] = {}
-        codes = np.empty(n, dtype=np.int64)
-        for j, name in enumerate(pipes):
-            code = vocab.get(name)
-            if code is None:
-                code = vocab[name] = len(vocab)
-            codes[j] = code
-        names = list(vocab)
-        n_codes = len(names)
-        # Per-(tier, pipeline) index lanes over the columns + head
-        # cursors; lane ``tier_rank * n_codes + code``. A single tenant
-        # class collapses to the flat per-pipeline addressing.
-        tiers = sorted({request.tenant.tier for request in ordered})
-        n_tiers = len(tiers)
-        multi_tier = n_tiers > 1
-        if multi_tier:
-            tier_rank = {tier: k for k, tier in enumerate(tiers)}
-            tier_of = np.empty(n, dtype=np.int64)
-            for j, request in enumerate(ordered):
-                tier_of[j] = tier_rank[request.tenant.tier]
-            lane_code = tier_of * n_codes + codes
-            tier_pending = [0] * n_tiers
-        else:
-            lane_code = codes
-            tier_pending = None
-        n_lanes = n_tiers * n_codes
-        lanes: list[list[int]] = [[] for _ in range(n_lanes)]
-        heads = [0] * n_lanes
-        pending = self._pending
-        counts = pending.counts
-        admission = self.admission
-        batcher = self.batcher
-        cluster = self.cluster
-        chips = cluster.chips
-        max_batch = batcher.max_batch
-        estimate = self._estimate
-        shed = self._shed
-        # Stateless policies score over NumPy chip columns; round-robin
-        # (stateful rotation pointer) keeps the cluster's closure.
-        policy = cluster.policy_name
-        score = (ChipScoreLanes(chips, policy, vocab)
-                 if policy in ChipScoreLanes.SUPPORTED else None)
-        cost_aware = policy == "cost-aware"
-        obs = self._obs
-        log = (_ColumnarObsLog(2 * n, obs.metrics is not None)
-               if obs is not None else None)
-
-        i = 0
-        now = 0.0
-        while True:
-            ef = chips[0].free_at_s
-            for chip in chips:
-                if chip.free_at_s < ef:
-                    ef = chip.free_at_s
-            if i < n:
-                t_arr = arrival_t[i]
-                if pending.n_pending and ef < t_arr:
-                    now = ef        # pure dispatch round at a chip-free
-                else:
-                    bound = ef if ef > t_arr else t_arr
-                    now = bound
-                    hi = int(arr_np.searchsorted(bound, side="right"))
-                    # -- ingest the arrival window [i, hi) --------------
-                    if admission is None:
-                        if log is not None:
-                            log.append_arrivals(arr_np, i, hi, ordered)
-                        if hi - i >= 64:
-                            window = lane_code[i:hi]
-                            for code in np.unique(window):
-                                idx = np.nonzero(window == code)[0]
-                                lanes[code].extend((idx + i).tolist())
-                                if multi_tier:
-                                    tier_pending[int(code) // n_codes] += \
-                                        len(idx)
-                        else:
-                            if multi_tier:
-                                for j in range(i, hi):
-                                    lanes[lane_code[j]].append(j)
-                                    tier_pending[tier_of[j]] += 1
-                            else:
-                                for j in range(i, hi):
-                                    lanes[lane_code[j]].append(j)
-                        pending.n_pending += hi - i
-                    else:
-                        for j in range(i, hi):
-                            request = ordered[j]
-                            at = arrival_t[j]
-                            if log is not None:
-                                log.append(log._ARRIVE, at, request)
-                            projected = self._project_wait(request, at)
-                            verdict = admission.admit(
-                                request, at, projected,
-                                estimate(request.pipeline),
-                                pending.n_pending,
-                            )
-                            if verdict is None:
-                                shed.append(ShedRecord(
-                                    request, at, admission.name, projected))
-                                if log is not None:
-                                    log.append(log._SHED, at, request)
-                                continue
-                            if log is not None:
-                                log.append(log._ADMIT, at, request)
-                            name = pipes[j]
-                            lanes[lane_code[j]].append(j)
-                            if multi_tier:
-                                tier_pending[tier_of[j]] += 1
-                            counts[name] = counts.get(name, 0) + 1
-                            pending.n_pending += 1
-                    i = hi
-            else:
-                if pending.n_pending == 0:
+            # -- busy-fleet ingest window (see the docstring) -----------
+            if not window or i >= n or (events
+                                         and events[0][0] <= arrival_t[i]):
+                continue
+            # No chip frees inside the window, so its bound is fixed.
+            bound = cluster.earliest_free_s
+            while i < n and arrival_t[i] < bound and (
+                    not events or arrival_t[i] < events[0][0]):
+                now = arrival_t[i]
+                while i < n and arrival_t[i] == now:
+                    ingest(arrivals[i], now)
+                    i += 1
+                if events and events[0][0] <= now:
+                    # Ingest pushed an event at this very instant: the
+                    # main loop drains it and dispatches, as it would
+                    # have without the window.
                     break
-                now = ef
-            # -- dispatch: place batches while work and idle coexist ----
-            while pending.n_pending > 0:
-                free = chips[0].free_at_s
-                for chip in chips:
-                    if chip.free_at_s < free:
-                        free = chip.free_at_s
-                if free > now:
-                    break
-                anchor = -1
-                anchor_lane = -1
-                if multi_tier:
-                    # Most premium tier with pending work anchors; its
-                    # oldest request picks the (tier, pipeline) lane.
-                    for k in range(n_tiers):
-                        if tier_pending[k] == 0:
-                            continue
-                        base = k * n_codes
-                        for code in range(base, base + n_codes):
-                            lane = lanes[code]
-                            head = heads[code]
-                            if head < len(lane) and (
-                                    anchor < 0 or lane[head] < anchor):
-                                anchor = lane[head]
-                                anchor_lane = code
-                        break
-                else:
-                    for code in range(n_lanes):
-                        lane = lanes[code]
-                        head = heads[code]
-                        if head < len(lane) and (
-                                anchor < 0 or lane[head] < anchor):
-                            anchor = lane[head]
-                            anchor_lane = code
-                lane = lanes[anchor_lane]
-                head = heads[anchor_lane]
-                take = head + max_batch
-                idx = lane[head:take]
-                heads[anchor_lane] = head + len(idx)
-                pending.n_pending -= len(idx)
-                if multi_tier:
-                    tier_pending[anchor_lane // n_codes] -= len(idx)
-                    pipe_code = anchor_lane % n_codes
-                else:
-                    pipe_code = anchor_lane
-                name = names[pipe_code]
-                if admission is not None:
-                    counts[name] -= len(idx)
-                taken = [ordered[j] for j in idx]
-                batch = batcher.make_batch(name, taken)
-                est_s = estimate(name)
-                if score is not None:
-                    if cost_aware:
-                        deadline = min(
-                            r.arrival_s + r.effective_slo_s for r in taken)
-                        chip = chips[score.select(
-                            pipe_code, now, est_s, deadline)]
-                    else:
-                        chip = chips[score.select(pipe_code, now, est_s)]
-                else:
-                    chip = cluster.select_chip(batch, now, est_s)
-                start = now if now >= chip.free_at_s else chip.free_at_s
-                self._execute_columnar(chip, batch, start, now, log)
-                if score is not None:
-                    score.note_dispatch(chip.chip_id, pipe_code,
-                                        chip.free_at_s)
-        if log is not None:
-            log.replay(self, arr_np)
+                if obs is not None:
+                    obs.maybe_snapshot(now)
         return now
-
-    def _execute_columnar(self, chip: ChipState, batch: Batch,
-                          start_s: float, dispatched_s: float,
-                          log: "Optional[_ColumnarObsLog]" = None) -> None:
-        """Batch execution for the columnar path — the scalar pricing
-        loop with every disarmed feature's branches deleted, float
-        operation order intact. The batch's trace keys resolve through
-        one :meth:`TraceCache.get_many` pass (byte-identical ordering
-        to per-frame ``get`` calls, which run strictly back to back in
-        the scalar loop anyway), the pipeline switch is hoisted (only a
-        batch's first frame can switch; ``cycles + 0.0`` is bitwise
-        ``cycles``), per-chip counters accumulate through locals seeded
-        from — and written back to — the chip fields in the same order,
-        and priced rows memoize per chip so repeat frames skip the
-        cost table's config hashing. No chip-free event is pushed: the
-        columnar loop recomputes the fleet's earliest free instant.
-        With ``log`` attached, every would-be observer hook lands in
-        the buffer for the deferred replay instead of firing here."""
-        cache = self.cache
-        cost = self._cost
-        accelerator = chip.accelerator
-        clock = chip.config.clock_hz
-        latency_model = self.latency_model
-        responses = self._responses
-        est = self._est_by_pipeline
-        memo = self._price_memo.get(chip.chip_id)
-        if memo is None:
-            memo = self._price_memo[chip.chip_id] = {}
-        chip_id = chip.chip_id
-        batch_id = batch.batch_id
-        requests = batch.requests
-        pipeline = requests[0].pipeline
-        accesses = cache.get_many([r.trace_key for r in requests])
-        record_cache = log is not None and log.record_cache
-        switch = 0.0
-        if chip.configured_pipeline != pipeline:
-            switch = float(chip.config.reconfigure_cycles)
-            chip.pipeline_switches += 1
-            chip.configured_pipeline = pipeline
-        served = chip.requests_served
-        frame_cycles = chip.frame_cycles
-        switch_cycles = chip.switch_cycles
-        reconfig_total = chip.frame_reconfig_cycles
-        energy_total = chip.energy_j
-        t = start_s
-        for request, access in zip(requests, accesses):
-            program, cache_hit, cost_s, n_evicted = access
-            compile_wait = 0.0
-            origin = None
-            if not cache_hit and latency_model is not None:
-                # Synchronous visible compile: ``cost_s`` is the sim
-                # latency this miss just charged — the value the scalar
-                # loop reads back via ``cache.compile_cost_s``.
-                compile_wait = cost_s
-                origin = "sync"
-            if record_cache:
-                log.append(log._CACHE, dispatched_s,
-                           i0=cache_hit, i1=n_evicted)
-            key = request.trace_key
-            row = memo.get(key)
-            if row is None:
-                row = memo[key] = cost.price(key, accelerator, program)
-            cycles, reconfig_cycles, energy_j = row
-            service = (cycles + switch) / clock
-            finish = t + compile_wait + service
-            response = RenderResponse(
-                request=request,
-                chip_id=chip_id,
-                batch_id=batch_id,
-                start_s=t,
-                finish_s=finish,
-                cycles=cycles,
-                switch_cycles=switch,
-                frame_reconfig_cycles=reconfig_cycles,
-                energy_j=energy_j,
-                cache_hit=cache_hit,
-                compile_s=compile_wait,
-                compile_origin=origin,
-                dispatched_s=dispatched_s,
-            )
-            responses.append(response)
-            if log is not None:
-                if origin == "sync" and compile_wait > 0.0:
-                    log.append(log._COMPILE, dispatched_s, pipeline,
-                               i0=chip_id, f0=t, f1=t + compile_wait)
-                log.append(log._RESPONSE, dispatched_s, response)
-            served += 1
-            frame_cycles += cycles
-            switch_cycles += switch
-            reconfig_total += reconfig_cycles
-            energy_total += energy_j
-            span = finish - t
-            t = finish
-            prior = est.get(pipeline)
-            if prior is None:
-                est[pipeline] = span
-            else:
-                est[pipeline] = prior + _SERVICE_EWMA_ALPHA * (span - prior)
-            switch = 0.0
-        chip.requests_served = served
-        chip.frame_cycles = frame_cycles
-        chip.switch_cycles = switch_cycles
-        chip.frame_reconfig_cycles = reconfig_total
-        chip.energy_j = energy_total
-        chip.busy_s += t - start_s
-        chip.free_at_s = t
-        if log is not None:
-            log.append(log._BATCH, dispatched_s, pipeline,
-                       i0=chip_id, i1=batch_id, i2=len(requests),
-                       i3=requests[0].tenant.tier, f0=start_s, f1=t)
-            log.finishes.append(t)
 
     def _finalize(self, now: float) -> ServiceReport:
         pending = self._pending

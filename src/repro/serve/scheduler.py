@@ -58,7 +58,6 @@ def simulate_service(
     observer: object | None = None,
     faults: "FaultPlan | None" = None,
     hedge: "HedgePolicy | bool | None" = None,
-    columnar: bool = True,
 ) -> ServiceReport:
     """Serve every admitted request on the fleet; returns the report.
 
@@ -109,17 +108,6 @@ def simulate_service(
     duplicates requests whose queue age crosses a quantile-derived
     threshold onto a second chip; the first copy to finish wins and the
     report stays exactly-once.
-
-    ``columnar`` (default ``True``) lets eligible configurations — a
-    static fleet with synchronous compile and a non-rewriting admission
-    policy, including strict-tier multi-tenant traffic (tiers without
-    weighted budgets or preemption) and fully observed runs (events are
-    buffered and replayed into the sinks at finalize) — take the
-    engine's columnar fast loop. Autoscaling, faults, hedging,
-    weighted admission, preemption, and async compile/prefetch still
-    force the scalar reference loop. The report is byte-identical
-    either way (pinned by the equivalence suite); ``columnar=False``
-    is the explicit escape hatch forcing the scalar event loop.
     """
     prefetcher = None
     if prefetch:
@@ -140,6 +128,5 @@ def simulate_service(
         observer=observer,
         faults=faults,
         hedge=hedge,
-        columnar=columnar,
     )
     return engine.run()

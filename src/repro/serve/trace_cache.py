@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core.config import CompileLatencyModel
 from repro.core.microops import MicroOpProgram
@@ -138,18 +138,6 @@ class TraceCache:
         self._m_evictions = registry.counter("cache.evictions")
         self._m_warmed = registry.counter("cache.warmed")
 
-    def unbind_metrics(self) -> None:
-        """Detach the live metric mirrors (registry counters survive).
-
-        The columnar engine defers observability to a replay pass: it
-        unbinds the mirrors so the hot loop pays no per-access metric
-        increments, then replays the recorded hit/miss/eviction deltas
-        into the registry counters in scalar order at finalize."""
-        self._m_hits = None
-        self._m_misses = None
-        self._m_evictions = None
-        self._m_warmed = None
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -192,66 +180,6 @@ class TraceCache:
         self._account_compile(key, sim, wall)
         self._admit(key, program)
         return program, False
-
-    def get_many(
-        self, keys: Sequence[TraceKey]
-    ) -> list[tuple[MicroOpProgram, bool, float, int]]:
-        """Resolve a window of keys in one pass; byte-identical to
-        calling :meth:`get` for each key in order.
-
-        Returns one ``(program, cache_hit, cost_s, n_evicted)`` tuple
-        per key: ``cost_s`` is the simulated compile latency charged (on
-        a miss) or credited to ``compile_s_saved`` (on a hit), and
-        ``n_evicted`` the number of evictions that miss triggered — the
-        columnar engine replays both into the observability registry.
-
-        Hits defer their LRU ``move_to_end`` into a pending-touch set so
-        a key hit k times in a window costs one reorder, not k. The set
-        is flushed (in last-hit order) before any miss admits, which is
-        exactly the LRU order repeated ``get`` calls would have produced
-        at that point — so eviction victims, stats, and final cache
-        order all match the looped path.
-        """
-        entries = self._entries
-        stats = self.stats
-        hits_by_key = self.hits_by_key
-        cost_of = self._compile_cost_s
-        pending_touch: dict[TraceKey, bool] = {}
-        out: list[tuple[MicroOpProgram, bool, float, int]] = []
-        for key in keys:
-            if key in entries:
-                if key in pending_touch:
-                    del pending_touch[key]
-                pending_touch[key] = True
-                stats.hits += 1
-                if self._m_hits is not None:
-                    self._m_hits.inc()
-                hits_by_key[key] = hits_by_key.get(key, 0) + 1
-                cost = cost_of.get(key, 0.0)
-                stats.compile_s_saved += cost
-                out.append((entries[key], True, cost, 0))
-                continue
-            # Miss: restore true LRU order before the admit can evict.
-            if pending_touch:
-                for touched in pending_touch:
-                    entries.move_to_end(touched)
-                pending_touch.clear()
-            began = time.perf_counter()
-            program = self.compile_fn(key)
-            wall = time.perf_counter() - began
-            sim = (self.latency_model.latency_s(program)
-                   if self.latency_model is not None else 0.0)
-            stats.misses += 1
-            if self._m_misses is not None:
-                self._m_misses.inc()
-            self._account_compile(key, sim, wall)
-            evictions_before = stats.evictions
-            self._admit(key, program)
-            out.append((program, False, sim, stats.evictions - evictions_before))
-        if pending_touch:
-            for touched in pending_touch:
-                entries.move_to_end(touched)
-        return out
 
     # -- event-engine path ---------------------------------------------
     def lookup(self, key: TraceKey) -> Optional[MicroOpProgram]:

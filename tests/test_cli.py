@@ -184,6 +184,27 @@ class TestEngineServeFlags:
         assert "--compile-workers" in capsys.readouterr().err
 
 
+class TestRemovedEngineKnob:
+    """The engine has one event loop; the old loop-selection knob is
+    gone from both interfaces and must fail loudly, not be ignored."""
+
+    @pytest.mark.parametrize("flag", ["--set", "--vary"])
+    def test_sweep_columnar_key_is_unknown(self, flag, capsys):
+        value = "columnar=false" if flag == "--set" else "columnar=true,false"
+        code = main(["sweep", "--set", "requests=8", flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown scenario keys ['columnar']" in err
+        assert "choose from" in err and "'admission'" in err
+
+    def test_serve_no_columnar_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--requests", "5", "--no-columnar"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-columnar" in \
+            capsys.readouterr().err
+
+
 class TestObservabilityFlags:
     def test_obs_defaults(self):
         args = build_parser().parse_args(["serve"])

@@ -34,7 +34,7 @@ from repro.serve import (
     make_admission_policy,
     simulate_service,
 )
-from tests.test_serve_golden import stub_program
+from tests.test_serve_invariants import stub_program
 
 
 def small_tracer():

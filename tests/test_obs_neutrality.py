@@ -24,7 +24,7 @@ from repro.serve import (
     make_admission_policy,
     simulate_service,
 )
-from tests.test_serve_golden import stub_program
+from tests.test_serve_invariants import stub_program
 
 
 def full_observer(sample=1.0):

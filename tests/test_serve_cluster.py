@@ -276,6 +276,17 @@ class TestPolicies:
         cluster.chips[0].free_at_s = 2.0
         assert cluster.select_chip(batch_of("mesh"), 0.0).chip_id == 1
 
+    @pytest.mark.parametrize("policy", ["least-loaded", "pipeline-affinity",
+                                        "cost-aware"])
+    def test_ties_go_to_the_lowest_chip_id(self, policy):
+        # Chips 1-3 are equally early (and equally warm): chip 1 wins.
+        cluster = ServeCluster(4, policy=policy)
+        cluster.chips[0].free_at_s = 2.0
+        for chip in cluster.chips[1:]:
+            chip.free_at_s = 1.0
+            chip.configured_pipeline = "mesh"
+        assert cluster.select_chip(batch_of("mesh"), 0.0).chip_id == 1
+
 
 def deadline_batch(pipeline="mesh", arrival=0.0, slo=0.05):
     request = RenderRequest(

@@ -426,14 +426,63 @@ class TestCacheEvictionOrder:
         assert len(report.responses) == 120
 
 
+class TestPriceMemoEviction:
+    """An eviction must drop the evicted trace's rows from every chip's
+    price memo — a recompile re-prices through the cost table instead
+    of riding a row memoized for the evicted program."""
+
+    def test_one_entry_cache_alternating_traces(self):
+        from repro.serve.engine import EventEngine
+
+        requests = generate_traffic("steady", n_requests=40,
+                                    rate_rps=1500.0, seed=3,
+                                    scenes=("a", "b"),
+                                    pipelines=("hashgrid",),
+                                    resolution=(64, 64), slo_s=0.05)
+        engine = EventEngine(requests, ServeCluster(1),
+                             cache=stub_cache(capacity=1, model=MODEL),
+                             batcher=PipelineBatcher(max_batch=1))
+        report = engine.run()
+        assert report.cache_stats["evictions"] > 0
+        # The memo may only hold rows for traces still resident: with a
+        # 1-entry cache alternating two keys, at most one row per chip.
+        for memo in engine._price_memo.values():
+            assert set(memo) <= set(engine.cache.keys)
+            assert len(memo) <= 1
+
+
+class TestBusyFleetIngestWindow:
+    """While every chip is busy the loop ingests arrival instants back
+    to back, but never past a heap event: a compile that lands inside
+    the busy span must land before a later arrival of its trace."""
+
+    def test_compile_landing_while_fleet_busy_is_seen_by_later_arrival(self):
+        cache = stub_cache(model=MODEL)
+        cache.insert(("lego", "gaussian", 64, 64), stub_program("gaussian"))
+        # Sixteen warm frames keep the single chip busy for two batches.
+        busy = [request(i, pipeline="gaussian") for i in range(16)]
+        done_s = 1e-5 + MODEL.latency_s(stub_program("hashgrid"))
+        cold = [request(16, arrival=1e-5), request(17, arrival=done_s + 1e-5)]
+        report = simulate_service(
+            busy + cold, ServeCluster(1), cache=cache,
+            batcher=PipelineBatcher(), compile_workers=1,
+            compile_latency=MODEL,
+        )
+        by_id = {r.request.request_id: r for r in report.responses}
+        # The chip is still on its first batch when request 17 arrives.
+        assert by_id[0].finish_s < by_id[7].finish_s
+        assert by_id[7].finish_s > cold[1].arrival_s
+        assert not by_id[16].cache_hit
+        assert by_id[17].cache_hit
+
+
 class TestTieBreakContract:
     """The pinned ``(t, kind, seq)`` event ordering.
 
-    The engine's correctness under the columnar refactor hangs on one
-    total order (documented at the event-kind constants in
-    ``engine.py``): events sort by timestamp, then by *kind* — arrivals
-    (kind 0) before every dynamic event — then by monotonic insertion
-    seq within a kind. These tests pin both halves: the heap's pop
+    The engine's correctness hangs on one total order (documented at
+    the event-kind constants in ``engine.py``): events sort by
+    timestamp, then by *kind* — arrivals (kind 0) before every dynamic
+    event — then by monotonic insertion seq within a kind. These tests pin both halves: the heap's pop
     order under a shuffled same-instant burst, and the user-visible
     consequence (an arrival racing a compile completion at the same
     instant must observe the cache *before* the compile lands).

@@ -33,20 +33,8 @@ from repro.serve import (
     make_admission_policy,
     simulate_service,
 )
-
-#: Per-pipeline synthetic frame costs (matches test_serve_invariants).
-_PIPELINE_MACS = {"hashgrid": 2e7, "gaussian": 1.6e8, "mesh": 4e7}
-
-
-def stub_program(pipeline):
-    program = MicroOpProgram(pipeline=pipeline, pixels=1024)
-    program.append(
-        MicroOp.GEMM,
-        "mlp",
-        gemm_workload(macs=_PIPELINE_MACS.get(pipeline, 5e7), rows=1e3,
-                      in_width=32, out_width=4, weight_bytes=1e4),
-    )
-    return program
+# The canonical synthetic per-pipeline frame costs.
+from tests.test_serve_invariants import stub_program
 
 
 def run_scenario(pattern, policy):
@@ -590,27 +578,25 @@ def test_chaos_numbers_are_frozen(arm):
                                 + report.n_failed)
 
 
-@pytest.mark.parametrize("arm", ["naive", "hardened"])
-def test_chaos_arms_identical_across_columnar_flag(arm):
-    # Chaos arms configure faults (and, hardened, hedging + an
-    # autoscaler) — every one a scalar-only feature. ``columnar=True``
-    # (the library default ``_run`` rides) must silently fall back and
-    # reproduce the frozen scalar golden byte for byte.
+#: sha256 of each chaos arm's canonical report JSON
+#: (``json.dumps(report.to_dict(), sort_keys=True)``): every field of
+#: the faulted runs, not only the headline numbers above.
+CHAOS_REPORT_DIGESTS = {
+    "naive":
+        "7aaaad36e540e48255507ea634ad74c08d0590f3d093719cac191605e5a0f7db",
+    "hardened":
+        "e5e7c2ed0ff243675f2eed3fc330e3423add1182d1eb15db5075907517d488f3",
+}
+
+
+@pytest.mark.parametrize("arm", sorted(CHAOS_REPORT_DIGESTS))
+def test_chaos_arm_reports_are_frozen(arm):
+    import hashlib
     import json
 
-    def one(flag):
-        trace = _gen(**CHAOS_WORKLOAD)
-        plan = chaos_plan(max(r.arrival_s for r in trace))
-        kwargs = dict(faults=plan, columnar=flag)
-        if arm == "hardened":
-            kwargs.update(hedge=CHAOS_HEDGE, autoscaler=chaos_autoscaler())
-        return simulate_service(
-            trace, ServeCluster(3), cache=TraceCache(capacity=64),
-            batcher=PipelineBatcher(max_batch=8), **kwargs)
-
-    reports = [json.dumps(one(flag).to_dict(), sort_keys=True)
-               for flag in (True, False)]
-    assert reports[0] == reports[1]
+    text = json.dumps(run_chaos_arm(arm).to_dict(), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == CHAOS_REPORT_DIGESTS[arm])
 
 
 def test_hedging_recovers_the_slo_cliff():

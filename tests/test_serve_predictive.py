@@ -22,8 +22,6 @@ from collections import defaultdict
 
 import pytest
 
-from repro.compile.workloads import gemm_workload
-from repro.core.microops import MicroOp, MicroOpProgram
 from repro.errors import ConfigError
 from repro.serve import (
     Autoscaler,
@@ -36,19 +34,7 @@ from repro.serve import (
     generate_traffic,
     simulate_service,
 )
-
-_PIPELINE_MACS = {"hashgrid": 2e7, "gaussian": 1.6e8, "mesh": 4e7}
-
-
-def stub_program(pipeline):
-    program = MicroOpProgram(pipeline=pipeline, pixels=1024)
-    program.append(
-        MicroOp.GEMM,
-        "mlp",
-        gemm_workload(macs=_PIPELINE_MACS.get(pipeline, 5e7), rows=1e3,
-                      in_width=32, out_width=4, weight_bytes=1e4),
-    )
-    return program
+from tests.test_serve_invariants import stub_program
 
 
 def stub_cache(capacity=64):
